@@ -5,11 +5,15 @@ cycle family, next to the closed-form upper bound (ab)^(1/2+1/(2L)) + max(a,b).
 Usage:
   python scripts/zarankiewicz_table.py --max-side 7
   python scripts/zarankiewicz_table.py --max-side 5 --ell 3
+
+A search that runs out of its node budget (GIRTHLAB_BUDGET) prints its
+lower bound, flagged as budget-truncated.
 """
 
 import argparse
 import time
 
+from girthlab.errors import BudgetExceeded
 from girthlab.search import FamilySpec, zarankiewicz_ab
 
 
@@ -27,7 +31,10 @@ def main():
     for a in range(2, args.max_side + 1):
         for b in range(a, args.max_side + 1):
             t0 = time.monotonic()
-            res = zarankiewicz_ab(a, b, family)
+            try:
+                res = zarankiewicz_ab(a, b, family)
+            except BudgetExceeded as exc:
+                res = exc.result
             bound = (a * b) ** (0.5 + 0.5 / ell) + max(a, b)
             flag = "" if res.completed else "  (budget-truncated!)"
             print(f"{a:>3} {b:>3} {res.value:>4} {bound:>8.2f} "

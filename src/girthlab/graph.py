@@ -10,6 +10,7 @@ code paths cheap.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,11 +72,35 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, self.edges() + [(u, v)])
+        return self._toggled(u, v, True)
 
     def without_edge(self, u: int, v: int) -> "Graph":
-        drop = (u, v) if u < v else (v, u)
-        return Graph(self.n, [e for e in self.edges() if e != drop])
+        return self._toggled(u, v, False)
+
+    def _toggled(self, u: int, v: int, present: bool) -> "Graph":
+        """Copy with edge uv present or absent, in O(n): only the two
+        endpoint rows change."""
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        adj = list(self.adj)
+        bits = list(self.bits)
+        m = self.m
+        if self.has_edge(u, v) != present:
+            for x, y in ((u, v), (v, u)):
+                bits[x] ^= 1 << y
+                if present:
+                    row = list(adj[x])
+                    insort(row, y)
+                    adj[x] = tuple(row)
+                else:
+                    adj[x] = tuple(w for w in adj[x] if w != y)
+            m += 1 if present else -1
+        g = Graph.__new__(Graph)
+        g.n, g.m, g.adj, g.bits = n, m, tuple(adj), tuple(bits)
+        return g
 
     def __eq__(self, other):
         return (

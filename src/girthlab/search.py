@@ -6,14 +6,23 @@ Turán search grows edge sets by canonical augmentation: a child graph is
 accepted only when deleting its canonically-last edge reproduces the parent
 (up to isomorphism), and children of one parent are deduplicated by
 canonical key, so every isomorphism class of family-free graphs on n
-vertices is visited exactly once.
+vertices is visited exactly once. Before a child is canonically labeled, its
+degrees and then its root refinement name the degrees of the two cells that
+hold its last edge (``last_edge_cells``); deleting that edge can only give
+the parent when they are the degrees of the added pair's endpoints, so most
+rejected children cost a degree scan or one refinement and no search. A
+child whose last edge is the added pair is the parent plus that pair, and is
+accepted without another labeling.
 
 Zarankiewicz search is a row-based branch and bound over neighborhoods of
 the smaller part, under three sound symmetry rules (row sizes
 non-increasing; columns first used by a row take the smallest unused labels
 consecutively; equal-size consecutive rows lexicographically
 non-decreasing) with admissible pruning from the column-pair budget
-(quadrilateral-free case) and the unbalanced Zarankiewicz bound.
+(quadrilateral-free case) and the unbalanced Zarankiewicz bound. The
+search keeps the raw row configurations tied at the running best and
+canonically labels them only once it ends (completed or budget-truncated),
+since almost all ties are overtaken by a larger configuration.
 
 Every certificate records whether the search completed; truncated runs are
 lower bounds only and are never reported as exact.
@@ -27,11 +36,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .budgets import search_budget
-from .canonical import canonical_graph, canonical_labeling, last_edge_under
+from .canonical import (
+    canonical_graph,
+    canonical_labeling,
+    last_edge_cells,
+    last_edge_under,
+)
 from .errors import BudgetExceeded, UnsupportedInstance
 from .formats import graph6_encode
 from .geometry import augment_distance_two, gq_w3, incidence_graph
-from .graph import Graph, contains_cycle, cycle_spectrum
+from .graph import Graph, contains_cycle, cycle_spectrum, relabel
 from .rng import XorShift64Star
 from .walks import BoundReport
 
@@ -194,6 +208,30 @@ class _TuranSearch:
     def key(self, G: Graph):
         return self.key_and_perm(G)[0]
 
+    def labeled_witnesses(self) -> list:
+        return [(G, self.key_and_perm(G)[1]) for G in self.witnesses.values()]
+
+    @staticmethod
+    def labeling_unless_rejected(child: Graph, u: int, v: int):
+        """The canonical labeling of child = parent + uv, or None when the
+        degrees rule out that deleting its last edge xy gives the parent.
+
+        Both deletions lower two child degrees by one, so the degree
+        multisets agree only if {deg x, deg y} = {deg u, deg v}. Root cells
+        share one degree and are ordered by degree, so the lower cell of the
+        last edge has the largest smaller-endpoint degree over all edges,
+        known before any refinement. The upper cell's degree needs the root
+        refinement, which the labeling then starts from.
+        """
+        deg = child.degrees()
+        pair = sorted((deg[u], deg[v]))
+        if pair[0] != max(min(deg[x], deg[y]) for x, y in child.edges()):
+            return None
+        colors, cells = last_edge_cells(child)
+        if sorted(deg[colors.index(cell)] for cell in cells) != pair:
+            return None
+        return canonical_labeling(child, colors)
+
     def record(self, G: Graph, gkey):
         if G.m > self.best:
             self.best = G.m
@@ -215,11 +253,17 @@ class _TuranSearch:
             if _creates_forbidden(G, u, v, self.family.lengths):
                 continue
             child = G.with_edge(u, v)
-            ckey, cperm = self.key_and_perm(child)
+            cached = self.canon_cache.get(child.bits)
+            if cached is None:
+                cached = self.labeling_unless_rejected(child, u, v)
+                if cached is None:
+                    continue
+                self.canon_cache[child.bits] = cached
+            ckey, cperm = cached
             if ckey in out:
                 continue
             cle = last_edge_under(child, cperm)
-            if self.key(child.without_edge(*cle)) == gkey:
+            if cle == (u, v) or self.key(child.without_edge(*cle)) == gkey:
                 out[ckey] = child
         return out
 
@@ -232,9 +276,15 @@ class _TuranSearch:
             self.explore(child, ckey)
 
 
-def _finish(kind, instance, family, value, witness_graphs, nodes, t0,
+def _self_labeled(G: Graph) -> tuple:
+    return G, canonical_labeling(G)[1]
+
+
+def _finish(kind, instance, family, value, labeled_witnesses, nodes, t0,
             completed, note=""):
-    encs = sorted(graph6_encode(canonical_graph(G)) for G in witness_graphs)
+    """Result from (graph, canonical labeling) witness pairs."""
+    encs = sorted(graph6_encode(relabel(G, perm))
+                  for G, perm in labeled_witnesses)
     return SearchResult(
         kind=kind,
         instance=instance,
@@ -270,11 +320,11 @@ def turan_number(n: int, family: FamilySpec, budget=None, order_seed=None,
             _turan_parallel(search, root, rkey)
     except BudgetExceeded as exc:
         exc.result = _finish("turan", (n,), family, search.best,
-                             search.witnesses.values(), search.nodes, t0,
+                             search.labeled_witnesses(), search.nodes, t0,
                              completed=False, note="budget-truncated")
         raise
     return _finish("turan", (n,), family, search.best,
-                   search.witnesses.values(), search.nodes, t0,
+                   search.labeled_witnesses(), search.nodes, t0,
                    completed=True)
 
 
@@ -342,7 +392,6 @@ class _ZarankiewiczSearch:
         self.limit = limit
         self.nodes = 0
         self.best = -1
-        self.witnesses = {}
         self.order_seed = order_seed
         ell = family.even_run_ell()
         if ell is not None:
@@ -353,6 +402,7 @@ class _ZarankiewiczSearch:
             self.total_cap = a * b
         self.rows = []
         self.row_bits = []
+        self.tied = set()
 
     def ub_remaining(self, rows_left, size_cap, pairs_left):
         if self.has_c4:
@@ -361,9 +411,9 @@ class _ZarankiewiczSearch:
             ub = rows_left * size_cap
         return ub
 
-    def make_graph(self) -> Graph:
+    def make_graph(self, rows) -> Graph:
         edges = []
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             edges.extend((i, self.rows_n + c) for c in row)
         return Graph(self.rows_n + self.cols_n, edges)
 
@@ -371,13 +421,20 @@ class _ZarankiewiczSearch:
         total = sum(len(r) for r in self.rows)
         if total < self.best:
             return
-        G = self.make_graph()
-        key = canonical_labeling(G)[0]
         if total > self.best:
             self.best = total
-            self.witnesses = {key: G}
-        else:
-            self.witnesses.setdefault(key, G)
+            self.tied = set()
+        self.tied.add(tuple(self.rows))
+
+    def labeled_witnesses(self) -> list:
+        """One (graph, canonical labeling) per isomorphism class among the
+        configurations tied at the best value."""
+        classes = {}
+        for rows in self.tied:
+            G = self.make_graph(rows)
+            key, perm = canonical_labeling(G)
+            classes.setdefault(key, (G, perm))
+        return list(classes.values())
 
     def row_ok_for_long_cycles(self, row) -> bool:
         if not self.other_even:
@@ -497,13 +554,13 @@ def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
     t0 = time.monotonic()
     if a == 0 or b == 0:
         empty = Graph(a + b)
-        return _finish("zarankiewicz_ab", (a, b), family, 0, [empty], 1, t0,
-                       completed=True)
+        return _finish("zarankiewicz_ab", (a, b), family, 0,
+                       [_self_labeled(empty)], 1, t0, completed=True)
     if not family.even_lengths:
         # odd cycles never embed in a bipartite graph
         full = Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-        return _finish("zarankiewicz_ab", (a, b), family, a * b, [full], 1,
-                       t0, completed=True,
+        return _finish("zarankiewicz_ab", (a, b), family, a * b,
+                       [_self_labeled(full)], 1, t0, completed=True,
                        note="family has no even cycle; complete bipartite")
     limit = search_budget(budget)
     search = _ZarankiewiczSearch(a, b, family, limit, order_seed)
@@ -512,11 +569,11 @@ def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
         search.search(0, 0, pairs_total, search.cols_n, 0, None)
     except BudgetExceeded as exc:
         exc.result = _finish("zarankiewicz_ab", (a, b), family, search.best,
-                             search.witnesses.values(), search.nodes, t0,
+                             search.labeled_witnesses(), search.nodes, t0,
                              completed=False, note="budget-truncated")
         raise
     return _finish("zarankiewicz_ab", (a, b), family, search.best,
-                   search.witnesses.values(), search.nodes, t0,
+                   search.labeled_witnesses(), search.nodes, t0,
                    completed=True)
 
 
@@ -528,8 +585,8 @@ def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
         raise ValueError("n must be >= 0")
     t0 = time.monotonic()
     if n <= 1:
-        return _finish("zarankiewicz", (n,), family, 0, [Graph(n)], 1, t0,
-                       completed=True)
+        return _finish("zarankiewicz", (n,), family, 0,
+                       [_self_labeled(Graph(n))], 1, t0, completed=True)
     splits = [(a, n - a) for a in range(1, n // 2 + 1)]
 
     def run(split):
@@ -540,17 +597,27 @@ def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
     try:
         if parallel:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                results = list(pool.map(run, splits))
+                for res in pool.map(run, splits):
+                    results.append(res)
         else:
-            results = [run(split) for split in splits]
+            for split in splits:
+                results.append(run(split))
     except BudgetExceeded as exc:
-        exc.result = SearchResult(
-            kind="zarankiewicz", instance=(n,), family=family,
-            value=max((r.value for r in results), default=0), witnesses=(),
-            nodes=sum(r.nodes for r in results), wall_time=time.monotonic() - t0,
-            completed=False, note="budget-truncated")
+        # the completed splits and the failing split's own partial result
+        # together bound z(n) from below
+        if exc.result is not None:
+            results.append(exc.result)
+        exc.result = _merge_splits(n, family, results, t0, completed=False,
+                                   note="budget-truncated")
         raise
-    best = max(r.value for r in results)
+    return _merge_splits(n, family, results, t0,
+                         completed=all(r.completed for r in results))
+
+
+def _merge_splits(n, family, results, t0, completed, note="") -> SearchResult:
+    """The best split value with the witnesses of every split attaining it;
+    the empty graph bounds the value below by 0."""
+    best = max([0] + [r.value for r in results])
     witnesses = sorted(
         {w for r in results if r.value == best for w in r.witnesses}
     )
@@ -562,7 +629,8 @@ def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
         witnesses=tuple(witnesses),
         nodes=sum(r.nodes for r in results),
         wall_time=time.monotonic() - t0,
-        completed=all(r.completed for r in results),
+        completed=completed,
+        note=note,
     )
 
 

@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from girthlab.errors import NotBipartite
 from girthlab.graph import (
@@ -58,6 +58,26 @@ class TestGraphBasics:
             Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 5)])
+
+    @given(graphs(max_n=10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_edge_toggles_match_rebuilt_graph(self, g, data):
+        assume(g.n >= 2)
+        u, v = data.draw(st.sampled_from(
+            [(x, y) for x in range(g.n) for y in range(g.n) if x != y]))
+        rest = [e for e in g.edges() if set(e) != {u, v}]
+        for got, want in ((g.with_edge(u, v), Graph(g.n, rest + [(u, v)])),
+                          (g.without_edge(u, v), Graph(g.n, rest))):
+            assert (got.n, got.m, got.adj, got.bits) == (
+                want.n, want.m, want.adj, want.bits)
+
+    def test_edge_toggles_reject_loops_and_range(self):
+        g = Graph(3, [(0, 1)])
+        for u, v in ((1, 1), (0, 5)):
+            with pytest.raises(ValueError):
+                g.with_edge(u, v)
+            with pytest.raises(ValueError):
+                g.without_edge(u, v)
 
     def test_bipartite_validation(self):
         with pytest.raises(NotBipartite):

@@ -1,15 +1,24 @@
-"""The extremal searches are cross-checked three independent ways: direct
+"""The extremal searches are cross-checked four independent ways: direct
 enumeration over all edge subsets (n <= 7), closed-form values (triangle
-case), and re-runs under shuffled exploration order and concurrency."""
+case), re-runs under shuffled exploration order and concurrency, and
+reference searches without the shortcuts that keep canonical labeling off
+the hot path."""
 
 import itertools
 
 import pytest
 
-from girthlab.canonical import canonical_graph, canonical_key
+from girthlab import search
+from girthlab.canonical import (
+    canonical_graph,
+    canonical_key,
+    canonical_labeling,
+    last_edge_under,
+)
 from girthlab.errors import BudgetExceeded, UnsupportedInstance
 from girthlab.formats import graph6_decode, graph6_encode
 from girthlab.graph import Graph, is_family_free
+from girthlab.rng import XorShift64Star
 from girthlab.search import (
     FamilySpec,
     SearchResult,
@@ -284,3 +293,127 @@ def test_witness_key_round_trip():
         g = graph6_decode(enc)
         assert graph6_encode(canonical_graph(g)) == enc
         assert canonical_key(g) == canonical_key(canonical_graph(g))
+
+
+class _UnfilteredTuran(search._TuranSearch):
+    """Reference: every child is canonically labeled and its last edge is
+    tested by deleting it, with no degree or root-cell prefilter."""
+
+    def children_of(self, G, gkey):
+        pairs = [
+            (u, v)
+            for u in range(self.n)
+            for v in range(u + 1, self.n)
+            if not G.has_edge(u, v)
+        ]
+        if self.order_seed is not None:
+            XorShift64Star(self.order_seed).shuffle(pairs)
+        out = {}
+        for u, v in pairs:
+            if search._creates_forbidden(G, u, v, self.family.lengths):
+                continue
+            child = G.with_edge(u, v)
+            ckey, cperm = self.key_and_perm(child)
+            if ckey in out:
+                continue
+            cle = last_edge_under(child, cperm)
+            if self.key(child.without_edge(*cle)) == gkey:
+                out[ckey] = child
+        return out
+
+
+class _EagerZarankiewicz(search._ZarankiewiczSearch):
+    """Reference: every configuration tying the running best is canonically
+    labeled when it is found."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.classes = {}
+
+    def record(self):
+        total = sum(len(r) for r in self.rows)
+        if total < self.best:
+            return
+        G = self.make_graph(self.rows)
+        key, perm = canonical_labeling(G)
+        if total > self.best:
+            self.best = total
+            self.classes = {key: (G, perm)}
+        else:
+            self.classes.setdefault(key, (G, perm))
+
+    def labeled_witnesses(self):
+        return list(self.classes.values())
+
+
+def _outcome(call):
+    """(value, witnesses, completed, nodes) of a search, truncated or not."""
+    try:
+        res = call()
+    except BudgetExceeded as exc:
+        res = exc.result
+    return res.value, res.witnesses, res.completed, res.nodes
+
+
+def _against_reference(monkeypatch, name, reference, call):
+    fast = _outcome(call)
+    monkeypatch.setattr(search, name, reference)
+    assert _outcome(call) == fast
+
+
+@pytest.mark.parametrize("order_seed", [None, 1, 987654321])
+@pytest.mark.parametrize("lengths", [(3,), (4,), (3, 4), (4, 5), (3, 5)])
+def test_turan_prefilter_matches_unfiltered_reference(monkeypatch, lengths,
+                                                      order_seed):
+    family = FamilySpec.of(*lengths)
+    for n in range(1, 9):
+        _against_reference(
+            monkeypatch, "_TuranSearch", _UnfilteredTuran,
+            lambda: turan_number(n, family, order_seed=order_seed))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("lengths", [(4,), (4, 6)])
+def test_deferred_witnesses_match_eager_reference(monkeypatch, lengths):
+    family = FamilySpec.of(*lengths)
+    sizes = [(a, b) for a in range(1, 31) for b in range(a, 31) if a * b <= 30]
+    for a, b in sizes:
+        _against_reference(
+            monkeypatch, "_ZarankiewiczSearch", _EagerZarankiewicz,
+            lambda: zarankiewicz_ab(a, b, family))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("budget", [10, 60, 300, 2000])
+def test_truncated_searches_match_references(monkeypatch, budget):
+    """On the budget-truncated path too, the shortcuts leave the partial
+    value, witnesses and node count unchanged."""
+    _against_reference(
+        monkeypatch, "_TuranSearch", _UnfilteredTuran,
+        lambda: turan_number(8, C4C5, budget=budget, order_seed=1))
+    monkeypatch.undo()
+    _against_reference(
+        monkeypatch, "_ZarankiewiczSearch", _EagerZarankiewicz,
+        lambda: zarankiewicz_ab(5, 6, C4, budget=budget))
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_truncated_z_keeps_completed_splits(parallel):
+    """A budget that stops z(10) in split (3, 7) still reports the splits
+    finished before it and that split's own partial result."""
+    budget = 300
+    finished, partial = [], None
+    for a in range(1, 6):
+        try:
+            finished.append(zarankiewicz_ab(a, 10 - a, C4, budget=budget))
+        except BudgetExceeded as exc:
+            partial = exc.result
+            break
+    assert finished and partial is not None
+    with pytest.raises(BudgetExceeded) as err:
+        zarankiewicz_number(10, C4, budget=budget, parallel=parallel)
+    res = err.value.result
+    assert not res.completed
+    assert res.value >= max(r.value for r in finished + [partial])
+    assert res.value == 10 and res.witnesses
+    assert res.nodes >= sum(r.nodes for r in finished) + partial.nodes
