@@ -8,10 +8,36 @@ the same (n, encoding) key, and the encoding doubles as the witness
 serialization key in the search module.
 
 Branching individualizes one vertex of the first non-singleton cell at a
-time; vertices that are twins (equal neighborhoods outside the pair) are
-interchangeable by an automorphism, so only one representative per twin
-class is explored. This keeps the tree near |Aut(G)| leaves on the highly
-symmetric graphs that exhaustive generation passes through.
+time; a leaf is a discrete coloring, read as a vertex ordering. Vertices
+that are twins (equal neighborhoods outside the pair) are interchangeable
+by an automorphism, so only one representative per twin class is explored.
+Call this tree T. The result is the first leaf of T in depth-first order
+whose encoding is minimal: its encoding, and its coloring as the
+permutation.
+
+Two leaves with equal encodings differ by an automorphism, which takes
+each vertex to the vertex at the same position in the other leaf. The
+search keeps the first leaf of each encoding it reaches, compares every
+leaf with them, and stores each automorphism found so. These prune the
+tree in two ways, as in nauty (McKay & Piperno, Practical Graph
+Isomorphism II, arXiv:1301.1493), which compares with the first and the
+best leaf only:
+
+- at the node reached by individualizing a path of vertices, a candidate
+  is skipped when the stored automorphisms that fix every path vertex map
+  it onto a sibling already explored;
+- a leaf equal to an earlier leaf ends the search of every node below the
+  one where their two paths part.
+
+Neither changes the result. In both cases an automorphism that fixes the
+path to a node maps the subtree of one child onto the subtree of an
+earlier child. Refinement is label-invariant, so it maps leaves to leaves
+of equal encoding, and twin pruning keeps the set of encodings of every
+subtree. So every leaf skipped has an image of equal encoding in T before
+it, and none is the first minimal leaf of T. On the incidence graphs of
+generalized polygons the tree shrinks by orders of magnitude: PG(2,3)
+takes 43 tree nodes instead of 17,915, and PG(2,5), out of reach
+without pruning, takes 175.
 
 Individualization and refinement never reorder cells: at every leaf the
 vertices of a lower root cell come before those of a higher one. So the
@@ -75,35 +101,57 @@ class _CanonSearch:
         self.best = None
         self.best_perm = None
         self.nodes = 0
+        # encoding -> (inverse labeling, path) of the first leaf reaching it
+        self.leaves = {}
+        self.generators = []
 
     def run(self, colors=None):
         if self.n == 0:
             return 0, ()
         if colors is None:
             colors = _refine(self.n, self.bits, [0] * self.n)
-        self._descend(colors)
+        self._descend(colors, ())
         return self.best, self.best_perm
 
-    def _descend(self, colors):
+    def _descend(self, colors, path):
+        """Search below the node reached by individualizing ``path`` in
+        order. Returns the depth of the node the search jumps back to, or
+        None to go on with the next sibling."""
         self.nodes += 1
         if self.nodes > _NODE_CAP:
-            raise BudgetExceeded("canonical search exceeded its node cap")
+            raise BudgetExceeded(
+                f"canonical search of a graph on {self.n} vertices exceeded "
+                f"its cap of {_NODE_CAP} tree nodes")
         n = self.n
         counts = [0] * n
         for c in colors:
             counts[c] += 1
         target = next((c for c in range(n) if counts[c] >= 2), None)
         if target is None:
-            self._leaf(colors)
-            return
+            return self._leaf(colors, path)
+        depth = len(path)
         candidates = [v for v in range(n) if colors[v] == target]
+        explored = []
+        orbit = None
+        known = 0
         for v in _twin_representatives(candidates, self.bits):
+            if explored and self.generators:
+                if known != len(self.generators):
+                    known = len(self.generators)
+                    orbit = self._orbits(path)
+                if any(orbit[u] == orbit[v] for u in explored):
+                    continue
+            explored.append(v)
             split = [2 * c for c in colors]
             split[v] -= 1
             order = {c: i for i, c in enumerate(sorted(set(split)))}
-            self._descend(_refine(n, self.bits, [order[c] for c in split]))
+            jump = self._descend(_refine(n, self.bits, [order[c] for c in split]),
+                                 path + (v,))
+            if jump is not None and jump < depth:
+                return jump
+        return None
 
-    def _leaf(self, colors):
+    def _leaf(self, colors, path):
         n = self.n
         inv = [0] * n
         for v in range(n):
@@ -114,9 +162,43 @@ class _CanonSearch:
             vi = inv[i]
             for j in range(i + 1, n):
                 enc = (enc << 1) | ((bits[vi] >> inv[j]) & 1)
+        earlier = self.leaves.get(enc)
+        if earlier is not None:
+            return self._automorphism(colors, path, *earlier)
+        self.leaves[enc] = (inv, path)
         if self.best is None or enc < self.best:
             self.best = enc
             self.best_perm = tuple(colors)
+        return None
+
+    def _automorphism(self, colors, path, ref_inv, ref_path):
+        """Store the automorphism taking this leaf onto the earlier leaf of
+        equal encoding, and return the depth at which their paths part: the
+        rest of this subtree maps into the earlier leaf's."""
+        self.generators.append([ref_inv[c] for c in colors])
+        depth = 0
+        while path[depth] == ref_path[depth]:
+            depth += 1
+        return depth
+
+    def _orbits(self, path):
+        """Orbit label of each vertex under the stored generators that fix
+        every vertex of ``path``."""
+        parent = list(range(self.n))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for gamma in self.generators:
+            if all(gamma[v] == v for v in path):
+                for v in range(self.n):
+                    a, b = find(v), find(gamma[v])
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+        return [find(v) for v in range(self.n)]
 
 
 def canonical_labeling(G: Graph, root_colors=None) -> tuple:

@@ -87,7 +87,8 @@ def cmd_analyze(args) -> int:
     graph = load_graph(args.path)
     g = girth(graph)
     lmax = min(args.lmax, graph.n) if graph.n >= 3 else 0
-    spectrum = sorted(cycle_spectrum(graph, lmax)) if lmax >= 3 else []
+    spectrum = (sorted(cycle_spectrum(graph, lmax, budget=args.budget))
+                if lmax >= 3 else [])
     report = {
         "path": args.path,
         "vertices": graph.n,
@@ -98,7 +99,8 @@ def cmd_analyze(args) -> int:
         "cycle_spectrum_lmax": lmax,
         "cycle_spectrum": spectrum,
         "chromatic_number": (
-            chromatic_number(graph) if graph.n <= 64 else None
+            chromatic_number(graph, budget=args.budget)
+            if graph.n <= 64 else None
         ),
     }
     _write((json.dumps(report, indent=2, sort_keys=True) + "\n").encode(),
@@ -139,6 +141,8 @@ def make_parser() -> argparse.ArgumentParser:
     pa.add_argument("path")
     pa.add_argument("--lmax", type=int, default=16,
                     help="cycle spectrum length cap (default 16)")
+    pa.add_argument("--budget", type=int, default=None,
+                    help="node budget of the cycle and chromatic searches")
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_analyze)
 

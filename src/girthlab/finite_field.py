@@ -46,9 +46,6 @@ class FieldTable:
     inv: tuple  # length q; inv[0] is None
     modulus: tuple | None = field(default=None)
 
-    def elements(self) -> range:
-        return range(self.q)
-
 
 def _char_and_degree(q: int) -> tuple[int, int]:
     for p in _PRIMES:

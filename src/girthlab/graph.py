@@ -350,8 +350,9 @@ class _CycleSearch:
                 self.nodes += 1
                 if self.nodes > self.budget:
                     raise BudgetExceeded(
-                        f"cycle enumeration exceeded {self.budget} expansions"
-                    )
+                        f"cycle search up to length {lmax} on a graph with "
+                        f"{G.n} vertices exceeded its budget of "
+                        f"{self.budget} path expansions")
                 depth = len(path)  # edges a..path[-1]; extending to w adds one
                 if (a_neigh >> w) & 1 and v1 < w:
                     length = depth + 2
@@ -572,7 +573,9 @@ def chromatic_number(G: Graph, budget=None) -> int:
         nonlocal best, nodes
         nodes += 1
         if nodes > limit:
-            raise BudgetExceeded("chromatic branch and bound exceeded budget")
+            raise BudgetExceeded(
+                f"chromatic number of a graph with {n} vertices exceeded its "
+                f"budget of {limit} branch-and-bound nodes")
         if used >= best:
             return
         if colored == n:

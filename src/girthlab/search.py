@@ -198,6 +198,11 @@ class _TuranSearch:
         self.canon_cache = {}
         self.order_seed = order_seed
 
+    def over_budget(self) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"Turan search ex({self.n}, {self.family.describe()}) exceeded "
+            f"its budget of {self.limit} search nodes")
+
     def key_and_perm(self, G: Graph):
         cached = self.canon_cache.get(G.bits)
         if cached is None:
@@ -270,7 +275,7 @@ class _TuranSearch:
     def explore(self, G: Graph, gkey):
         self.nodes += 1
         if self.nodes > self.limit:
-            raise BudgetExceeded("generation exceeded node budget")
+            raise self.over_budget()
         self.record(G, gkey)
         for ckey, child in sorted(self.children_of(G, gkey).items()):
             self.explore(child, ckey)
@@ -278,6 +283,17 @@ class _TuranSearch:
 
 def _self_labeled(G: Graph) -> tuple:
     return G, canonical_labeling(G)[1]
+
+
+def _truncated(kind, instance, family, search, n_vertices, t0):
+    """The lower-bound result of a search its budget stopped. Before the
+    search records anything, the empty graph certifies the value 0."""
+    if search.best < 0:
+        value, witnesses = 0, [_self_labeled(Graph(n_vertices))]
+    else:
+        value, witnesses = search.best, search.labeled_witnesses()
+    return _finish(kind, instance, family, value, witnesses, search.nodes, t0,
+                   completed=False, note="budget-truncated")
 
 
 def _finish(kind, instance, family, value, labeled_witnesses, nodes, t0,
@@ -319,9 +335,7 @@ def turan_number(n: int, family: FamilySpec, budget=None, order_seed=None,
         else:
             _turan_parallel(search, root, rkey)
     except BudgetExceeded as exc:
-        exc.result = _finish("turan", (n,), family, search.best,
-                             search.labeled_witnesses(), search.nodes, t0,
-                             completed=False, note="budget-truncated")
+        exc.result = _truncated("turan", (n,), family, search, n, t0)
         raise
     return _finish("turan", (n,), family, search.best,
                    search.labeled_witnesses(), search.nodes, t0,
@@ -351,7 +365,7 @@ def _turan_parallel(search: _TuranSearch, root: Graph, rkey):
         for sub in pool.map(run, tasks):
             search.nodes += sub.nodes
             if search.nodes > search.limit:
-                raise BudgetExceeded("generation exceeded node budget")
+                raise search.over_budget()
             if sub.best > search.best:
                 search.best = sub.best
                 search.witnesses = dict(sub.witnesses)
@@ -382,6 +396,7 @@ class _ZarankiewiczSearch:
     """Branch and bound over rows (neighborhood sets of the smaller part)."""
 
     def __init__(self, a, b, family, limit, order_seed):
+        self.a, self.b = a, b
         # rows = smaller part
         self.rows_n = min(a, b)
         self.cols_n = max(a, b)
@@ -403,6 +418,11 @@ class _ZarankiewiczSearch:
         self.rows = []
         self.row_bits = []
         self.tied = set()
+
+    def over_budget(self) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"row search z({self.a}, {self.b}; {self.family.describe()}) "
+            f"exceeded its budget of {self.limit} search nodes")
 
     def ub_remaining(self, rows_left, size_cap, pairs_left):
         if self.has_c4:
@@ -450,7 +470,7 @@ class _ZarankiewiczSearch:
                prev_row):
         self.nodes += 1
         if self.nodes > self.limit:
-            raise BudgetExceeded("row search exceeded node budget")
+            raise self.over_budget()
         if row_index == self.rows_n or size_cap == 0:
             self.record()
             return
@@ -482,7 +502,7 @@ class _ZarankiewiczSearch:
                         chosen, overlaps, fresh, floor_row, tight):
         self.nodes += 1
         if self.nodes > self.limit:
-            raise BudgetExceeded("row search exceeded node budget")
+            raise self.over_budget()
         if len(chosen) == s:
             row = tuple(chosen)
             if not self.row_ok_for_long_cycles(row):
@@ -568,9 +588,8 @@ def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
     try:
         search.search(0, 0, pairs_total, search.cols_n, 0, None)
     except BudgetExceeded as exc:
-        exc.result = _finish("zarankiewicz_ab", (a, b), family, search.best,
-                             search.labeled_witnesses(), search.nodes, t0,
-                             completed=False, note="budget-truncated")
+        exc.result = _truncated("zarankiewicz_ab", (a, b), family, search,
+                                a + b, t0)
         raise
     return _finish("zarankiewicz_ab", (a, b), family, search.best,
                    search.labeled_witnesses(), search.nodes, t0,

@@ -119,7 +119,9 @@ def path_count(G: Graph, ell: int, budget=None) -> WalkCounts:
             v, visited, depth = stack.pop()
             nodes += 1
             if nodes > limit:
-                raise BudgetExceeded("path enumeration exceeded budget")
+                raise BudgetExceeded(
+                    f"path count of length {ell} on a graph with {G.n} "
+                    f"vertices exceeded its budget of {limit} path nodes")
             if depth == ell:
                 total += 1
                 continue
@@ -143,7 +145,9 @@ def paths_from_vertex(G: Graph, start: int, ell: int, budget=None) -> int:
         v, visited, depth = stack.pop()
         nodes += 1
         if nodes > limit:
-            raise BudgetExceeded("path enumeration exceeded budget")
+            raise BudgetExceeded(
+                f"paths of length {ell} from vertex {start} on a graph with "
+                f"{G.n} vertices exceeded their budget of {limit} path nodes")
         if depth == ell:
             total += 1
             continue
@@ -208,7 +212,6 @@ class HooryReport:
     holds_product: bool
     holds_biregular: bool
     equality: bool
-    balanced_parts: bool
 
 
 def check_hoory_bipartite(G: BipartiteGraph, t: int) -> HooryReport:
@@ -256,7 +259,6 @@ def check_hoory_bipartite(G: BipartiteGraph, t: int) -> HooryReport:
         holds_product=holds_product,
         holds_biregular=nu >= biregular,
         equality=biregular_graph and nu == biregular,
-        balanced_parts=len(a_part) == len(b_part),
     )
 
 

@@ -97,6 +97,21 @@ class TestAnalyze:
     def test_missing_file_exit_3(self):
         assert main(["analyze", "/nonexistent/nope.g6"]) == 3
 
+    def test_tiny_budget_exit_4(self, tmp_path, heawood):
+        path = tmp_path / "hw.g6"
+        path.write_bytes(graph6_encode(heawood) + b"\n")
+        assert main(["analyze", str(path), "--budget", "1"]) == 4
+
+    def test_budget_bounds_chromatic_number(self, tmp_path, grotzsch):
+        """With no cycle spectrum to compute (--lmax 2), only the chromatic
+        search of the Grötzsch graph can spend the budget."""
+        path = tmp_path / "grotzsch.g6"
+        path.write_bytes(graph6_encode(grotzsch) + b"\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(path), "--lmax", "2", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["chromatic_number"] == 4
+        assert main(["analyze", str(path), "--lmax", "2", "--budget", "1"]) == 4
+
 
 class TestVerifyCli:
     def test_geometry_suite_passes(self, tmp_path):

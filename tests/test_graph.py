@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from girthlab.errors import NotBipartite
+from girthlab.errors import BudgetExceeded, NotBipartite
 from girthlab.graph import (
     BipartiteGraph,
     Graph,
@@ -295,3 +295,13 @@ def test_diameter(heawood, tutte_coxeter):
     assert diameter(heawood) == 3
     assert diameter(tutte_coxeter) == 4
     assert diameter(Graph(3, [(0, 1)])) == INF
+
+
+def test_budget_errors_name_instance_and_limit(grotzsch):
+    k5 = Graph(5, list(itertools.combinations(range(5), 2)))
+    with pytest.raises(BudgetExceeded, match="up to length 5 on a graph with 5 "
+                                             "vertices .* budget of 2 path"):
+        cycle_spectrum(k5, 5, budget=2)
+    with pytest.raises(BudgetExceeded, match="graph with 11 vertices .* budget "
+                                             "of 1 branch-and-bound nodes"):
+        chromatic_number(grotzsch, budget=1)

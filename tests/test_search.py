@@ -146,8 +146,33 @@ class TestTuran:
         assert err.value.result is not None
         assert not err.value.result.completed
 
+    def test_budget_error_names_instance_and_limit(self):
+        with pytest.raises(BudgetExceeded,
+                           match=r"ex\(7, \{C3\}\) .* budget of 10 search nodes"):
+            turan_number(7, C3, budget=10)
+
+    def test_zero_budget_certifies_zero_with_the_empty_graph(self):
+        with pytest.raises(BudgetExceeded) as err:
+            turan_number(5, C4, budget=0)
+        res = err.value.result
+        assert (res.value, res.witnesses) == (0, (graph6_encode(Graph(5)),))
+
 
 class TestZarankiewicz:
+    def test_budget_before_first_record_certifies_zero(self):
+        """The empty graph certifies 0 even when the budget stops the
+        search before it records any configuration."""
+        with pytest.raises(BudgetExceeded) as err:
+            zarankiewicz_ab(3, 3, FamilySpec.of(4), budget=1)
+        res = err.value.result
+        assert (res.value, res.witnesses) == (0, (graph6_encode(Graph(6)),))
+        assert not res.completed
+
+    def test_budget_error_names_instance_and_limit(self):
+        with pytest.raises(BudgetExceeded,
+                           match=r"z\(3, 4; \{C4\}\) .* budget of 2 search nodes"):
+            zarankiewicz_ab(3, 4, C4, budget=2)
+
     def test_two_vertices(self):
         assert zarankiewicz_number(2, C4).value == 1
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab.corpus import bipartite_corpus, walks_corpus
-from girthlab.errors import EmptyPart, GirthTooSmall
+from girthlab.errors import BudgetExceeded, EmptyPart, GirthTooSmall
 from girthlab.graph import BipartiteGraph, Graph
 from girthlab.walks import (
     check_blakley_roy,
@@ -15,6 +15,7 @@ from girthlab.walks import (
     closed_walk_count,
     nonreturning_count,
     path_count,
+    paths_from_vertex,
     walk_count,
 )
 
@@ -236,3 +237,13 @@ class TestPathLowerBound:
 def test_empty_graph_rejected():
     with pytest.raises(ValueError):
         walk_count(Graph(0), 1)
+
+
+def test_budget_errors_name_instance_and_limit():
+    g = star(4)
+    with pytest.raises(BudgetExceeded, match="length 2 on a graph with 5 "
+                                             "vertices .* budget of 3 path"):
+        path_count(g, 2, budget=3)
+    with pytest.raises(BudgetExceeded, match="length 2 from vertex 1 on a graph "
+                                             "with 5 vertices .* budget of 3 path"):
+        paths_from_vertex(g, 1, 2, budget=3)
