@@ -4,13 +4,21 @@ spectral gap.
 
 The gap parameter lambda excludes the largest eigenvalue in the general
 setting and both extreme eigenvalues in the bipartite setting (where the
-spectrum is symmetric and the most negative eigenvalue is trivial).
+spectrum is symmetric and the most negative eigenvalue is trivial);
+``gap_parameter`` is the one place that convention lives.
+
+The eigenvalues are printed in the verify report, so the solver must round
+exactly as it always has: every change to it keeps the cyclic rotation
+order and each rotation's floating-point operations, and is tested for
+bit-identical output against a copy of the original loop. That rules out
+the parallel (Brent-Luk) ordering, whose different rotation order changes
+the last bits of the eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +43,16 @@ def eigenvalues_symmetric(M, tol: float = 1e-10, max_sweeps: int = 100) -> list:
     Cyclic Jacobi: sweep the strict upper triangle, rotating each (p, q)
     pair to annihilate A[p,q], until the off-diagonal Frobenius norm drops
     below tol * ||M||_F. Raises NoConvergence after max_sweeps sweeps.
+
+    The eigenvalues must stay bit-identical to those of the plain rotation,
+    which updates columns p and q and then rows p and q of the full matrix
+    (the verify report prints them). This loop does the same floating-point
+    operations with fewer numpy calls: the matrix stays exactly symmetric,
+    so rows p and q are computed once from the old rows, elementwise with
+    no BLAS call and no fused multiply-add, and written as both rows and
+    columns; the 2x2 block is computed from Python floats in the plain
+    rotation's column-then-row order. The rotation order stays cyclic by
+    rows: a parallel (Brent-Luk) ordering would round differently.
     """
     A = np.array(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -50,6 +68,7 @@ def eigenvalues_symmetric(M, tol: float = 1e-10, max_sweeps: int = 100) -> list:
     if norm == 0.0:
         return [0.0] * n
     mask = ~np.eye(n, dtype=bool)
+    item = A.item
     for sweep in range(max_sweeps):
         off = math.sqrt(float((A[mask] ** 2).sum()))
         if off < tol * norm:
@@ -57,21 +76,21 @@ def eigenvalues_symmetric(M, tol: float = 1e-10, max_sweeps: int = 100) -> list:
         # small threshold for early sweeps avoids stalling on noise entries
         thresh = 0.2 * off / (n * n) if sweep < 3 else 0.0
         for p in range(n - 1):
+            row_p = A[p]
             for q in range(p + 1, n):
-                apq = A[p, q]
+                apq = item(p, q)
                 scale = 100.0 * abs(apq)
-                if (
-                    sweep > 3
-                    and abs(A[p, p]) + scale == abs(A[p, p])
-                    and abs(A[q, q]) + scale == abs(A[q, q])
-                ):
-                    # negligible against the diagonal: rotation is a no-op
-                    A[p, q] = 0.0
-                    A[q, p] = 0.0
-                    continue
+                if sweep > 3:
+                    app, aqq = abs(item(p, p)), abs(item(q, q))
+                    if app + scale == app and aqq + scale == aqq:
+                        # negligible against the diagonal: rotation is a no-op
+                        A[p, q] = 0.0
+                        A[q, p] = 0.0
+                        continue
                 if abs(apq) <= thresh or apq == 0.0:
                     continue
-                h = A[q, q] - A[p, p]
+                app, aqq = item(p, p), item(q, q)
+                h = aqq - app
                 if abs(h) + scale == abs(h):
                     t = apq / h
                 else:
@@ -81,16 +100,22 @@ def eigenvalues_symmetric(M, tol: float = 1e-10, max_sweeps: int = 100) -> list:
                     )
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
+                row_q = A[q]
+                new_p = c * row_p - s * row_q
+                new_q = s * row_p + c * row_q
+                # the block after the column step, then after the row step
+                col_pp = c * app - s * apq
+                col_qp = c * apq - s * aqq
+                col_pq = s * app + c * apq
+                col_qq = s * apq + c * aqq
+                new_p[p] = c * col_pp - s * col_qp
+                new_q[q] = s * col_pq + c * col_qq
+                new_p[q] = 0.0
+                new_q[p] = 0.0
+                A[p] = new_p
+                A[q] = new_q
+                A[:, p] = new_p
+                A[:, q] = new_q
     raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
 
 
@@ -118,6 +143,20 @@ class SpectralSummary:
     def lambda_n(self) -> float:
         return self.eigenvalues[-1]
 
+    def flat(self) -> SpectralSummary:
+        """The same spectrum under the general convention, where lambda
+        excludes only the largest eigenvalue."""
+        return replace(self, lam=gap_parameter(self.eigenvalues, False),
+                       bipartite=False)
+
+
+def gap_parameter(eigenvalues, bipartite: bool) -> float:
+    """The largest |eigenvalue| once the largest eigenvalue is excluded,
+    and in the bipartite setting the most negative one too; eigenvalues are
+    sorted descending."""
+    inner = eigenvalues[1:-1] if bipartite else eigenvalues[1:]
+    return max((abs(x) for x in inner), default=0.0)
+
 
 def degree_variance(G: Graph) -> Fraction:
     """Exact (1/n) * sum (d(v) - d)^2 = (1/n) * sum d(v)^2 - d^2."""
@@ -136,14 +175,9 @@ def spectral_summary(G: Graph, bipartite: bool = False) -> SpectralSummary:
     if bipartite and not is_bipartite(G):
         raise NotBipartite("bipartite flag set on a non-bipartite graph")
     eig = eigenvalues_symmetric(adjacency_matrix(G))
-    if bipartite:
-        inner = eig[1:-1]
-    else:
-        inner = eig[1:]
-    lam = max((abs(x) for x in inner), default=0.0)
     return SpectralSummary(
         eigenvalues=tuple(eig),
-        lam=lam,
+        lam=gap_parameter(eig, bipartite),
         average_degree=G.average_degree(),
         variance=degree_variance(G),
         bipartite=bipartite,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import EpsilonOutOfRange
 from .graph import BipartiteGraph, Graph, e_between, neighborhood_layers
-from .walks import BoundReport, paths_from_vertex
+from .walks import BoundReport, paths_from_each_vertex
 
 
 def truncate_degrees(G: Graph, delta: int) -> tuple:
@@ -31,12 +31,13 @@ def truncate_degrees(G: Graph, delta: int) -> tuple:
 
 def best_root(G: Graph, ell: int, budget=None) -> tuple:
     """The vertex starting the most paths of length ell+1 (lowest index on
-    ties), together with that count."""
+    ties), together with that count. One node budget covers the paths from
+    all vertices."""
     if ell + 1 > 8:
         raise ValueError("ell + 1 must be <= 8 (path enumeration guard)")
     best_v, best_count = 0, -1
-    for v in range(G.n):
-        count = paths_from_vertex(G, v, ell + 1, budget=budget)
+    counts = paths_from_each_vertex(G, ell + 1, budget=budget)
+    for v, count in enumerate(counts):
         if count > best_count:
             best_v, best_count = v, count
     return best_v, best_count

@@ -64,13 +64,14 @@ from .spectral import (
 )
 from .stability import check_degree_outlier_bound, high_degree_edge_fraction
 from .walks import (
-    check_blakley_roy,
+    blakley_roy_bound,
     check_closed_walk_bound,
-    check_godsil,
     check_hoory_bipartite,
     check_path_lower_bound,
     closed_walk_count,
+    godsil_bound,
     nonreturning_count,
+    walk_totals,
 )
 
 SUITES = ("geometry", "walks", "spectral", "search", "all")
@@ -294,8 +295,10 @@ def walks_suite(seed: int, budget=None) -> list:
     corpus = walks_corpus(500, seed)
     constructed = _constructed_set()
     everything = list(constructed.values()) + corpus
+    totals = [walk_totals(g, 6) for g in everything]
     for k in range(1, 7):
-        violations = sum(not check_blakley_roy(g, k).holds for g in everything)
+        violations = sum(not blakley_roy_bound(g, k, t).holds
+                         for g, t in zip(everything, totals))
         records.append(_rec("walk-floor", "Blakley-Roy walk bound",
                             f"corpus+constructed k={k}",
                             f"violations={violations}",
@@ -304,10 +307,10 @@ def walks_suite(seed: int, budget=None) -> list:
     for r in (2, 4, 6):
         violations = 0
         checked = 0
-        for g in everything:
+        for g, t in zip(everything, totals):
             for s in range(1, r + 1):
                 checked += 1
-                violations += not check_godsil(g, r, s).holds
+                violations += not godsil_bound(g, r, s, t).holds
         records.append(_rec("walk-power-mean", "Godsil walk power mean",
                             f"corpus+constructed r={r}",
                             f"violations={violations}", f"checked={checked}",
@@ -409,8 +412,12 @@ def walks_suite(seed: int, budget=None) -> list:
 def spectral_suite(seed: int, budget=None) -> list:
     records = []
     constructed = _constructed_set()
-    hw = constructed["plane-incidence-q2"]
-    hw_summary = spectral_summary(hw, bipartite=True)
+    # one eigensolve per graph: the flat summaries derive from these
+    summaries = {
+        name: spectral_summary(g, bipartite=not name.startswith("polarity"))
+        for name, g in constructed.items()
+    }
+    hw_summary = summaries["plane-incidence-q2"]
     records.append(_rec("eigen-gap", "incidence spectral gap",
                         "plane-incidence-q2", hw_summary.lam, math.sqrt(2),
                         abs(hw_summary.lam - math.sqrt(2)) <= 1e-6))
@@ -423,20 +430,17 @@ def spectral_suite(seed: int, budget=None) -> list:
                         [round(x, 9) for x in eig], [2.0, 0.0, 0.0, -2.0],
                         max(abs(a - b) for a, b in
                             zip(eig, [2.0, 0.0, 0.0, -2.0])) <= 1e-8))
-    summaries = {}
     trace_fail = 0
     trace_checked = 0
     for name, g in constructed.items():
-        bip = not name.startswith("polarity")
-        summ = spectral_summary(g, bipartite=bip)
-        summaries[name] = summ
+        summ = summaries[name]
         delta = g.max_degree()
         for k in (2, 4, 6):
             lhs = sum(x**k for x in summ.eigenvalues)
             rhs = closed_walk_count(g, k).total
             trace_checked += 1
             trace_fail += abs(lhs - rhs) > 1e-6 * g.n * delta**k
-        if bip:
+        if summ.bipartite:
             sym_err = max(
                 abs(summ.eigenvalues[i] + summ.eigenvalues[-1 - i])
                 for i in range(g.n)
@@ -450,7 +454,7 @@ def spectral_suite(seed: int, budget=None) -> list:
     rng = XorShift64Star(seed + 21)
     for name in ("plane-incidence-q2", "quadrangle-incidence-q2"):
         g = constructed[name]
-        flat = spectral_summary(g, bipartite=False)
+        flat = summaries[name].flat()
         fails = 0
         for _ in range(1000):
             S = _sample_vertices(rng, range(g.n))
@@ -462,7 +466,7 @@ def spectral_suite(seed: int, budget=None) -> list:
                             op="check_mixing_regular"))
     for name in ("plane-incidence-q2", "quadrangle-incidence-q2"):
         g = constructed[name]
-        summ = spectral_summary(g, bipartite=True)
+        summ = summaries[name]
         fails = 0
         for _ in range(1000):
             S = _sample_vertices(rng, g.part_x)

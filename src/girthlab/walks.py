@@ -51,30 +51,45 @@ def _require_vertices(G: Graph):
         raise ValueError("walk counts need at least one vertex")
 
 
-def walk_count(G: Graph, k: int) -> WalkCounts:
-    """Number of walks of length k (ordered, k >= 0), total and average."""
+def walk_totals(G: Graph, k_max: int) -> list:
+    """Numbers of walks (ordered) of lengths 0..k_max, from one DP."""
     _require_vertices(G)
-    if k < 0:
+    if k_max < 0:
         raise ValueError("k must be >= 0")
     counts = [1] * G.n
-    for _ in range(k):
-        counts = [sum(counts[u] for u in G.adj[v]) for v in range(G.n)]
-    return WalkCounts(kind="walk", length=k, total=sum(counts), n=G.n)
+    totals = [G.n]
+    for _ in range(k_max):
+        counts = [sum(map(counts.__getitem__, nbrs)) for nbrs in G.adj]
+        totals.append(sum(counts))
+    return totals
+
+
+def walk_count(G: Graph, k: int) -> WalkCounts:
+    """Number of walks of length k (ordered, k >= 0), total and average."""
+    return WalkCounts(kind="walk", length=k, total=walk_totals(G, k)[k],
+                      n=G.n)
 
 
 def closed_walk_count(G: Graph, k: int) -> WalkCounts:
-    """Number of closed walks of length k >= 1 (trace of the k-step count
-    matrix), computed one start vertex at a time."""
+    """Number of closed walks of length k >= 1: trace(A^k), summed over
+    start vertices s as <A^floor(k/2) e_s, A^ceil(k/2) e_s>."""
     _require_vertices(G)
     if k < 1:
         raise ValueError("k must be >= 1")
+    half = k // 2
+    adj = G.adj
     total = 0
     for s in range(G.n):
         vec = [0] * G.n
         vec[s] = 1
-        for _ in range(k):
-            vec = [sum(vec[u] for u in G.adj[v]) for v in range(G.n)]
-        total += vec[s]
+        for _ in range(half):
+            vec = [sum(map(vec.__getitem__, nbrs)) for nbrs in adj]
+        if k % 2:
+            # <x, A x> for the symmetric adjacency matrix A
+            total += sum(x * sum(map(vec.__getitem__, nbrs))
+                         for x, nbrs in zip(vec, adj) if x)
+        else:
+            total += sum(x * x for x in vec)
     return WalkCounts(kind="closed", length=k, total=total, n=G.n)
 
 
@@ -99,72 +114,104 @@ def nonreturning_count(G: Graph, k: int) -> WalkCounts:
     return WalkCounts(kind="nonreturning", length=k, total=sum(counts), n=G.n)
 
 
-def path_count(G: Graph, ell: int, budget=None) -> WalkCounts:
-    """Number of directed paths (walks with all vertices distinct) of
-    length ell <= 8, by exhaustive DFS."""
-    _require_vertices(G)
-    if not 0 <= ell <= 8:
-        raise ValueError("ell must be in 0..8 (exhaustive DFS guard)")
-    if ell == 0:
-        return WalkCounts(kind="path", length=0, total=G.n, n=G.n)
-    limit = cycle_budget(budget)
-    nodes = 0
-    total = 0
+def _paths_by_start(G: Graph, starts, ell: int, limit: int,
+                    overrun: str) -> list:
+    """Directed paths of length 1 <= ell <= 8 from each start vertex, by one
+    DFS whose node counter runs across all starts.
+
+    The last two levels are counted without stacking them: a node v at
+    depth ell - 1 has one leaf per neighbour outside its path,
+    (bits[v] & ~visited).bit_count(), and a node at depth ell - 2 counts
+    each such child and its leaves in place. Every one of those nodes still
+    counts, so BudgetExceeded (with message `overrun`) is raised exactly
+    when the whole DFS visits more than `limit` nodes.
+    """
     bits = G.bits
     adj = G.adj
-
-    for start in range(G.n):
+    last = ell - 1
+    nodes = 0
+    counts = []
+    for start in starts:
+        total = 0
         stack = [(start, 1 << start, 0)]
         while stack:
             v, visited, depth = stack.pop()
             nodes += 1
+            if depth == last:  # only the start, when ell == 1
+                leaves = (bits[v] & ~visited).bit_count()
+                total += leaves
+                nodes += leaves
+            elif depth == last - 1:
+                for w in adj[v]:
+                    if not (visited >> w) & 1:
+                        leaves = (bits[w] & ~visited).bit_count()
+                        total += leaves
+                        nodes += 1 + leaves
+            else:
+                for w in adj[v]:
+                    if not (visited >> w) & 1:
+                        stack.append((w, visited | (1 << w), depth + 1))
             if nodes > limit:
-                raise BudgetExceeded(
-                    f"path count of length {ell} on a graph with {G.n} "
-                    f"vertices exceeded its budget of {limit} path nodes")
-            if depth == ell:
-                total += 1
-                continue
-            for w in adj[v]:
-                if not (visited >> w) & 1:
-                    stack.append((w, visited | (1 << w), depth + 1))
-    return WalkCounts(kind="path", length=ell, total=total, n=G.n)
+                raise BudgetExceeded(overrun)
+        counts.append(total)
+    return counts
+
+
+def _check_path_length(ell: int):
+    if not 0 <= ell <= 8:
+        raise ValueError("ell must be in 0..8 (exhaustive DFS guard)")
+
+
+def path_count(G: Graph, ell: int, budget=None) -> WalkCounts:
+    """Number of directed paths (walks with all vertices distinct) of
+    length ell <= 8, by exhaustive DFS."""
+    _require_vertices(G)
+    _check_path_length(ell)
+    if ell == 0:
+        return WalkCounts(kind="path", length=0, total=G.n, n=G.n)
+    limit = cycle_budget(budget)
+    counts = _paths_by_start(
+        G, range(G.n), ell, limit,
+        f"path count of length {ell} on a graph with {G.n} vertices "
+        f"exceeded its budget of {limit} path nodes")
+    return WalkCounts(kind="path", length=ell, total=sum(counts), n=G.n)
 
 
 def paths_from_vertex(G: Graph, start: int, ell: int, budget=None) -> int:
-    """Directed paths of length ell starting at one vertex."""
-    if not 0 <= ell <= 8:
-        raise ValueError("ell must be in 0..8")
+    """Directed paths of length ell <= 8 starting at one vertex."""
+    if not 0 <= start < G.n:
+        raise ValueError(f"start {start} is not a vertex: need "
+                         f"0 <= start < n = {G.n}")
+    _check_path_length(ell)
     if ell == 0:
         return 1
     limit = cycle_budget(budget)
-    nodes = 0
-    total = 0
-    stack = [(start, 1 << start, 0)]
-    while stack:
-        v, visited, depth = stack.pop()
-        nodes += 1
-        if nodes > limit:
-            raise BudgetExceeded(
-                f"paths of length {ell} from vertex {start} on a graph with "
-                f"{G.n} vertices exceeded their budget of {limit} path nodes")
-        if depth == ell:
-            total += 1
-            continue
-        for w in G.adj[v]:
-            if not (visited >> w) & 1:
-                stack.append((w, visited | (1 << w), depth + 1))
-    return total
+    return _paths_by_start(
+        G, (start,), ell, limit,
+        f"paths of length {ell} from vertex {start} on a graph with {G.n} "
+        f"vertices exceeded their budget of {limit} path nodes")[0]
 
 
-def check_blakley_roy(G: Graph, k: int) -> BoundReport:
-    """Average walk count of length k is at least d^k (d = average degree).
+def paths_from_each_vertex(G: Graph, ell: int, budget=None) -> list:
+    """Directed paths of length ell <= 8 from each vertex in turn, under one
+    node budget for the whole enumeration."""
+    _check_path_length(ell)
+    if ell == 0:
+        return [1] * G.n
+    limit = cycle_budget(budget)
+    return _paths_by_start(
+        G, range(G.n), ell, limit,
+        f"paths of length {ell} from each vertex of a graph with {G.n} "
+        f"vertices exceeded their budget of {limit} path nodes")
 
-    Holds for every simple graph; equality on regular graphs.
-    """
-    wk = walk_count(G, k).average
-    d = G.average_degree()
-    rhs = d**k
+
+def blakley_roy_bound(G: Graph, k: int, totals) -> BoundReport:
+    """Blakley-Roy at length k, given the walk totals of G (totals[k] is
+    the number of walks of length k): the average walk count is at least
+    d^k, with d the average degree. Holds for every simple graph; equality
+    on regular graphs."""
+    wk = Fraction(totals[k], G.n)
+    rhs = G.average_degree() ** k
     return BoundReport(
         check="blakley-roy",
         lhs=wk,
@@ -174,18 +221,26 @@ def check_blakley_roy(G: Graph, k: int) -> BoundReport:
     )
 
 
-def check_godsil(G: Graph, r: int, s: int) -> BoundReport:
-    """Walk power-mean monotonicity: w_r^(1/r) >= w_s^(1/s) for even r >= s.
+def check_blakley_roy(G: Graph, k: int) -> BoundReport:
+    """Average walk count of length k is at least d^k (d = average degree).
 
-    Decided exactly by comparing w_r^s against w_s^r in big-integer
-    arithmetic.
+    Holds for every simple graph; equality on regular graphs.
     """
+    return blakley_roy_bound(G, k, walk_totals(G, k))
+
+
+def _check_godsil_exponents(r: int, s: int):
     if r % 2 != 0 or not r >= s >= 1:
         raise ValueError("need r even and r >= s >= 1")
-    wr = walk_count(G, r).average
-    ws = walk_count(G, s).average
-    lhs = wr**s
-    rhs = ws**r
+
+
+def godsil_bound(G: Graph, r: int, s: int, totals) -> BoundReport:
+    """Godsil's power-mean inequality w_r^(1/r) >= w_s^(1/s) for even
+    r >= s >= 1, given the walk totals of G up to length r, decided exactly
+    by comparing w_r^s against w_s^r in big-integer arithmetic."""
+    _check_godsil_exponents(r, s)
+    lhs = Fraction(totals[r], G.n) ** s
+    rhs = Fraction(totals[s], G.n) ** r
     return BoundReport(
         check="godsil-power-mean",
         lhs=lhs,
@@ -194,6 +249,16 @@ def check_godsil(G: Graph, r: int, s: int) -> BoundReport:
         equality=lhs == rhs,
         note=f"compares w_{r}^{s} vs w_{s}^{r}",
     )
+
+
+def check_godsil(G: Graph, r: int, s: int) -> BoundReport:
+    """Walk power-mean monotonicity: w_r^(1/r) >= w_s^(1/s) for even r >= s.
+
+    Decided exactly by comparing w_r^s against w_s^r in big-integer
+    arithmetic.
+    """
+    _check_godsil_exponents(r, s)
+    return godsil_bound(G, r, s, walk_totals(G, r))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from girthlab.corpus import near_biregular_corpus, walks_corpus
-from girthlab.errors import HypothesisFailed, NotBipartite, NotRegular, PartViolation
+from girthlab.errors import (
+    HypothesisFailed,
+    NoConvergence,
+    NotBipartite,
+    NotRegular,
+    PartViolation,
+)
 from girthlab.graph import BipartiteGraph, Graph
 from girthlab.rng import XorShift64Star
 from girthlab.spectral import (
@@ -17,7 +24,10 @@ from girthlab.spectral import (
     pseudorandomness_report,
     spectral_summary,
 )
+from girthlab.verify import _constructed_set
 from girthlab.walks import closed_walk_count
+
+CONSTRUCTED = _constructed_set()
 
 
 def test_two_by_two():
@@ -180,3 +190,127 @@ class TestPseudorandomness:
             g = incidence_graph(pg2_incidence(q))
             vals.append(pseudorandomness_report(g, 200, 42).normalized_max)
         assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
+
+
+def _reference_jacobi(M, tol=1e-10, max_sweeps=100):
+    """Reference: the solver as it was before its rotation was rewritten,
+    which updates columns p and q and then rows p and q of the full matrix
+    with numpy slices. The solver must return bit-identical eigenvalues."""
+    A = np.array(M, dtype=float)
+    n = A.shape[0]
+    if n == 0:
+        return []
+    norm = math.sqrt(float((A * A).sum()))
+    if norm == 0.0:
+        return [0.0] * n
+    mask = ~np.eye(n, dtype=bool)
+    for sweep in range(max_sweeps):
+        off = math.sqrt(float((A[mask] ** 2).sum()))
+        if off < tol * norm:
+            return sorted(np.diag(A).tolist(), reverse=True)
+        thresh = 0.2 * off / (n * n) if sweep < 3 else 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                scale = 100.0 * abs(apq)
+                if (
+                    sweep > 3
+                    and abs(A[p, p]) + scale == abs(A[p, p])
+                    and abs(A[q, q]) + scale == abs(A[q, q])
+                ):
+                    A[p, q] = 0.0
+                    A[q, p] = 0.0
+                    continue
+                if abs(apq) <= thresh or apq == 0.0:
+                    continue
+                h = A[q, q] - A[p, p]
+                if abs(h) + scale == abs(h):
+                    t = apq / h
+                else:
+                    theta = h / (2.0 * apq)
+                    t = math.copysign(1.0, theta) / (
+                        abs(theta) + math.sqrt(1.0 + theta * theta)
+                    )
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = A[:, p].copy()
+                col_q = A[:, q].copy()
+                A[:, p] = c * col_p - s * col_q
+                A[:, q] = s * col_p + c * col_q
+                row_p = A[p, :].copy()
+                row_q = A[q, :].copy()
+                A[p, :] = c * row_p - s * row_q
+                A[q, :] = s * row_p + c * row_q
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+    raise NoConvergence(f"Jacobi did not converge in {max_sweeps} sweeps")
+
+
+def _assert_matches_reference(M):
+    """Bit-identical to the reference (float.hex tells -0.0 from 0.0), and
+    within 1e-9 of LAPACK relative to the Frobenius norm."""
+    ours = eigenvalues_symmetric(M)
+    assert [x.hex() for x in ours] == [x.hex() for x in _reference_jacobi(M)]
+    M = np.asarray(M, dtype=float)
+    if M.size:
+        lapack = sorted(np.linalg.eigvalsh(M).tolist(), reverse=True)
+        scale = max(1.0, math.sqrt(float((M * M).sum())))
+        assert max(abs(a - b) for a, b in zip(ours, lapack)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTED))
+def test_solver_matches_reference_on_constructions(name):
+    _assert_matches_reference(adjacency_matrix(CONSTRUCTED[name]))
+
+
+@pytest.mark.parametrize("seed", [0, 33, 1729])
+def test_solver_matches_reference_on_near_biregular_corpus(seed):
+    for g in near_biregular_corpus(3, seed):
+        _assert_matches_reference(adjacency_matrix(g))
+
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=10):
+    n = draw(st.integers(0, max_n))
+    A = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            A[i, j] = A[j, i] = draw(ENTRIES)
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n)):
+        A[i, :] = A[:, i] = draw(st.sampled_from([0.0, -0.0]))
+    return A
+
+
+@given(symmetric_matrices())
+@settings(max_examples=300, deadline=None)
+def test_solver_matches_reference_on_random_symmetric_matrices(A):
+    try:
+        _reference_jacobi(A)
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            eigenvalues_symmetric(A)
+        return
+    _assert_matches_reference(A)
+
+
+def test_sweep_cap_still_raises():
+    g = CONSTRUCTED["plane-incidence-q2"]
+    with pytest.raises(NoConvergence, match="1 sweeps"):
+        eigenvalues_symmetric(adjacency_matrix(g), max_sweeps=1)
+    with pytest.raises(NoConvergence):
+        _reference_jacobi(adjacency_matrix(g), max_sweeps=1)
+    assert eigenvalues_symmetric(adjacency_matrix(g), max_sweeps=100)
+
+
+def test_flat_summary_equals_a_flat_solve(heawood):
+    bipartite = spectral_summary(heawood, bipartite=True)
+    assert bipartite.flat() == spectral_summary(heawood, bipartite=False)
+    assert abs(bipartite.lam - math.sqrt(2)) < 1e-8
+    assert abs(bipartite.flat().lam - 3) < 1e-8

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from girthlab.corpus import c4_free_corpus
-from girthlab.errors import EpsilonOutOfRange
+from girthlab.errors import BudgetExceeded, EpsilonOutOfRange
 from girthlab.geometry import incidence_graph, pg2_incidence, polarity_graph
 from girthlab.graph import Graph, contains_cycle, is_family_free
 from girthlab.rng import XorShift64Star
@@ -61,6 +61,19 @@ class TestBestRoot:
         g = star(4)
         v, count = best_root(g, 1)
         assert v == 1 and count == 3  # each leaf starts leaves-1 paths
+
+    def test_one_budget_covers_all_roots(self):
+        """PG(2,3) incidence is 4-regular on 26 vertices, so the paths of
+        length 3 from one root take 1 + 4 + 12 + 36 = 53 DFS nodes, and
+        those from all roots 26 * 53 = 1378."""
+        g = incidence_graph(pg2_incidence(3))
+        assert best_root(g, 2) == (0, 36)
+        assert best_root(g, 2, budget=26 * 53) == (0, 36)
+        for budget in (53, 26 * 53 - 1):
+            with pytest.raises(BudgetExceeded,
+                               match=f"graph with 26 vertices .* budget of "
+                                     f"{budget} path nodes"):
+                best_root(g, 2, budget=budget)
 
 
 class TestExtraction:

@@ -7,16 +7,20 @@ from girthlab.corpus import bipartite_corpus, walks_corpus
 from girthlab.errors import BudgetExceeded, EmptyPart, GirthTooSmall
 from girthlab.graph import BipartiteGraph, Graph
 from girthlab.walks import (
+    blakley_roy_bound,
     check_blakley_roy,
     check_closed_walk_bound,
     check_godsil,
     check_hoory_bipartite,
     check_path_lower_bound,
     closed_walk_count,
+    godsil_bound,
     nonreturning_count,
     path_count,
+    paths_from_each_vertex,
     paths_from_vertex,
     walk_count,
+    walk_totals,
 )
 
 
@@ -247,3 +251,76 @@ def test_budget_errors_name_instance_and_limit():
     with pytest.raises(BudgetExceeded, match="length 2 from vertex 1 on a graph "
                                              "with 5 vertices .* budget of 3 path"):
         paths_from_vertex(g, 1, 2, budget=3)
+
+
+def _reference_path_dfs(g, starts, ell):
+    """Reference: the path DFS as it was before its last levels were
+    counted in bulk. Every node, leaves included, is stacked and popped.
+    Returns (paths, nodes) over all the starts."""
+    paths = nodes = 0
+    for start in starts:
+        stack = [(start, 1 << start, 0)]
+        while stack:
+            v, visited, depth = stack.pop()
+            nodes += 1
+            if depth == ell:
+                paths += 1
+                continue
+            for w in g.adj[v]:
+                if not (visited >> w) & 1:
+                    stack.append((w, visited | (1 << w), depth + 1))
+    return paths, nodes
+
+
+def _boundary_graphs(heawood):
+    k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    return [heawood, k4, star(4), path3(), Graph(3)] + walks_corpus(8, 3)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+def test_path_budget_boundary_matches_reference_dfs(ell, heawood):
+    """A budget of exactly the reference DFS's node count passes with the
+    same count, and one node less raises."""
+    for g in _boundary_graphs(heawood):
+        paths, nodes = _reference_path_dfs(g, range(g.n), ell)
+        assert path_count(g, ell, budget=nodes).total == paths
+        with pytest.raises(BudgetExceeded):
+            path_count(g, ell, budget=nodes - 1)
+        assert paths_from_each_vertex(g, ell, budget=nodes) == [
+            _reference_path_dfs(g, [v], ell)[0] for v in range(g.n)]
+        with pytest.raises(BudgetExceeded):
+            paths_from_each_vertex(g, ell, budget=nodes - 1)
+        start = g.n - 1
+        paths, nodes = _reference_path_dfs(g, [start], ell)
+        assert paths_from_vertex(g, start, ell, budget=nodes) == paths
+        with pytest.raises(BudgetExceeded):
+            paths_from_vertex(g, start, ell, budget=nodes - 1)
+
+
+@pytest.mark.parametrize("start", [3, -1])
+def test_paths_from_vertex_rejects_a_start_outside_the_graph(start):
+    for ell in (0, 2):
+        with pytest.raises(ValueError, match=f"start {start} .* n = 3"):
+            paths_from_vertex(path3(), start, ell)
+
+
+def test_closed_walks_match_trace_oracle_for_odd_and_even_k(heawood):
+    for g in [triangle(), star(), heawood] + walks_corpus(10, 43):
+        if g.n > 14:
+            continue
+        for k in range(1, 8):
+            assert closed_walk_count(g, k).total == matrix_power_trace(g, k)
+
+
+def test_bounds_from_one_walk_sequence_equal_the_checks():
+    """What the walks suite decides from one walk sequence per graph is
+    what check_blakley_roy and check_godsil report."""
+    for g in walks_corpus(40, 19) + [star(), path3(), Graph(4)]:
+        totals = walk_totals(g, 6)
+        if g.n <= 12:
+            assert totals == [matrix_power_total(g, k) for k in range(7)]
+        for k in range(1, 7):
+            assert blakley_roy_bound(g, k, totals) == check_blakley_roy(g, k)
+        for r in (2, 4, 6):
+            for s in range(1, r + 1):
+                assert godsil_bound(g, r, s, totals) == check_godsil(g, r, s)
