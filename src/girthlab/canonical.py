@@ -38,12 +38,6 @@ it, and none is the first minimal leaf of T. On the incidence graphs of
 generalized polygons the tree shrinks by orders of magnitude: PG(2,3)
 takes 43 tree nodes instead of 17,915, and PG(2,5), out of reach
 without pruning, takes 175.
-
-Individualization and refinement never reorder cells: at every leaf the
-vertices of a lower root cell come before those of a higher one. So the
-cells holding the canonically last edge are known from the root refinement
-alone (``last_edge_cells``), which lets canonical augmentation reject most
-children before any search.
 """
 
 from __future__ import annotations
@@ -105,12 +99,10 @@ class _CanonSearch:
         self.leaves = {}
         self.generators = []
 
-    def run(self, colors=None):
+    def run(self):
         if self.n == 0:
             return 0, ()
-        if colors is None:
-            colors = _refine(self.n, self.bits, [0] * self.n)
-        self._descend(colors, ())
+        self._descend(_refine(self.n, self.bits, [0] * self.n), ())
         return self.best, self.best_perm
 
     def _descend(self, colors, path):
@@ -201,15 +193,9 @@ class _CanonSearch:
         return [find(v) for v in range(self.n)]
 
 
-def canonical_labeling(G: Graph, root_colors=None) -> tuple:
-    """(minimal encoding integer, permutation old-vertex -> position).
-
-    ``root_colors``, when given, must be G's root refinement as returned by
-    ``last_edge_cells``; the search then starts from it instead of refining
-    again.
-    """
-    enc, perm = _CanonSearch(G).run(root_colors)
-    return enc, perm
+def canonical_labeling(G: Graph) -> tuple:
+    """(minimal encoding integer, permutation old-vertex -> position)."""
+    return _CanonSearch(G).run()
 
 
 def canonical_key(G: Graph) -> tuple:
@@ -237,35 +223,6 @@ def last_edge_under(G: Graph, perm) -> tuple:
             if G.has_edge(u, v):
                 return (u, v) if u < v else (v, u)
     return None
-
-
-def last_edge_cells(G: Graph) -> tuple:
-    """(root colors, cells): G's root refinement, the coloring every
-    canonical search starts from, and the pair of root cells (c, d), c <= d,
-    that holds the canonically last edge; cells is None for edgeless graphs.
-
-    The last edge is the set encoding position (i, j), i < j, largest in
-    lexicographic order: i is the last vertex with a neighbor placed after
-    it, j is its last neighbor. Individualization and refinement never
-    reorder cells, so at every leaf each vertex of a lower root cell sits
-    before each vertex of a higher one. The root partition is equitable: the
-    vertices of one cell have equally many neighbors in each cell. Let c be
-    the largest cell with a neighbor in some cell d >= c, and d the largest
-    such cell. No vertex of a cell above c has a neighbor after it, and
-    some vertex of c does, so i lies in c. Every vertex of c has neighbors
-    in d and none above d, so j lies in d. Equivalently, (c, d) is the
-    lexicographically largest (color(x), color(y)) over edges xy with
-    color(y) >= color(x), whichever leaf the search picks.
-    """
-    colors = _refine(G.n, G.bits, [0] * G.n)
-    cells = None
-    for x in range(G.n):
-        cx = colors[x]
-        for y in G.adj[x]:
-            cy = colors[y]
-            if cy >= cx and (cells is None or (cx, cy) > cells):
-                cells = (cx, cy)
-    return colors, cells
 
 
 def canonical_last_edge(G: Graph):

@@ -2,17 +2,37 @@
 isomorph rejection, plus formula checks and the one-extra-edge witness
 construction.
 
-Turán search grows edge sets by canonical augmentation: a child graph is
-accepted only when deleting its canonically-last edge reproduces the parent
-(up to isomorphism), and children of one parent are deduplicated by
-canonical key, so every isomorphism class of family-free graphs on n
-vertices is visited exactly once. Before a child is canonically labeled, its
-degrees and then its root refinement name the degrees of the two cells that
-hold its last edge (``last_edge_cells``); deleting that edge can only give
-the parent when they are the degrees of the added pair's endpoints, so most
-rejected children cost a degree scan or one refinement and no search. A
-child whose last edge is the added pair is the parent plus that pair, and is
-accepted without another labeling.
+Turán search adds one vertex at a time (Garnick, Kwong & Lazebnik,
+Extremal graphs without three-cycles or four-cycles, J. Graph Theory 17,
+1993). Write ex(k) for ex(k, F) and S(k, t) for the isomorphism classes of
+F-free graphs on k vertices with at least t edges. Four facts make the
+search exact:
+
+(a) Threshold. ex(k) >= ex(k-1) + 1 for k >= 2, because a pendant vertex
+    lies on no cycle. So every extremal graph on n vertices is in
+    S(n, ex(n-1) + 1), and ex(k-1) is the largest edge count in any
+    nonempty level S(k-1, t) with t <= ex(k-1).
+(b) Parents. Delete a minimum-degree vertex x from G in S(k, t) with e
+    edges. Its degree is at most floor(2e/k), and e - floor(2e/k) does not
+    decrease as e grows, so G - x lies in S(k-1, t - floor(2t/k)), and
+    deg x >= t - ex(k-1).
+(c) Family-freeness. Every cycle of G that is not in G - x passes through x
+    and two of its neighbours u, v, so for an F-free parent, G is F-free
+    iff no two vertices of N(x) are joined in G - x by a path of L - 2
+    edges, for any L in F. Each parent vertex gets one conflict bitmask,
+    and the candidate sets N(x) are the sets independent in that conflict
+    graph.
+(d) Minimum degree. x must have the least degree in G, so every parent
+    vertex outside N(x) has degree at least |N(x)|, and every vertex in
+    N(x) degree at least |N(x)| - 1.
+
+So S(k, t) is built from S(k-1, t - floor(2t/k)) by adding x with every
+admissible N(x), and the levels are extended downwards as higher levels ask
+for lower thresholds. Isomorph rejection keeps one dict per level, keyed by
+canonical encoding, and labels each child once; nothing is kept between
+calls. Search nodes count the neighbour sets tried. A search its budget
+stops reports the best graph found at any level, padded to n vertices with
+pendant vertices.
 
 Zarankiewicz search is a row-based branch and bound over neighborhoods of
 the smaller part, under three sound symmetry rules (row sizes
@@ -30,18 +50,14 @@ lower bounds only and are never reported as exact.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .budgets import search_budget
-from .canonical import (
-    canonical_graph,
-    canonical_labeling,
-    last_edge_cells,
-    last_edge_under,
-)
+from .canonical import canonical_graph, canonical_labeling
 from .errors import BudgetExceeded, UnsupportedInstance
 from .formats import graph6_encode
 from .geometry import augment_distance_two, gq_w3, incidence_graph
@@ -141,159 +157,176 @@ class SearchResult:
         )
 
 
-def _has_path(G: Graph, u: int, v: int, length: int) -> bool:
-    """Path with exactly `length` edges from u to v, all vertices distinct."""
-    if length == 1:
-        return G.has_edge(u, v)
-    if length == 2:
-        return bool(G.bits[u] & G.bits[v])
-    # BFS distances from v for admissible pruning
-    dist = [-1] * G.n
-    dist[v] = 0
-    frontier = [v]
-    d = 0
-    while frontier and d < length:
-        d += 1
-        nxt = []
-        for x in frontier:
-            for w in G.adj[x]:
-                if dist[w] == -1:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    if dist[u] == -1 or dist[u] > length:
-        return False
-    stack = [(u, 1 << u, 0)]
-    while stack:
-        x, visited, used = stack.pop()
-        if used == length:
-            if x == v:
-                return True
-            continue
-        remaining = length - used
-        for w in G.adj[x]:
-            if (visited >> w) & 1:
-                continue
-            if w == v:
-                if remaining == 1:
-                    return True
-                continue
-            if dist[w] >= 0 and dist[w] <= remaining - 1:
-                stack.append((w, visited | (1 << w), used + 1))
-    return False
+def _conflicts(P: Graph, lengths) -> list:
+    """conflicts[u]: the vertices of P that a path of L - 2 edges joins to
+    u, for some L in lengths. A new vertex adjacent to u and v closes a C_L
+    exactly when such a path joins them."""
+    wanted = 0
+    for length in lengths:
+        wanted |= 1 << (length - 2)
+    deepest = max(lengths) - 2
+    bits = P.bits
+    out = []
+    for u in range(P.n):
+        acc = 0
+        stack = [(u, 1 << u, 0)]
+        while stack:
+            v, visited, depth = stack.pop()
+            depth += 1
+            ahead = bits[v] & ~visited
+            if wanted >> depth & 1:
+                acc |= ahead
+            if depth < deepest:
+                while ahead:
+                    low = ahead & -ahead
+                    ahead ^= low
+                    stack.append((low.bit_length() - 1, visited | low, depth))
+        out.append(acc)
+    return out
 
 
-def _creates_forbidden(G: Graph, u: int, v: int, lengths) -> bool:
-    return any(_has_path(G, u, v, L - 1) for L in sorted(lengths))
+def _neighbour_sets(deg, conflicts: list, d: int):
+    """Bitmasks of the d-sets N of parent vertices that a new vertex x may
+    join: no two members in conflict, and x of least degree in the child,
+    so a vertex of degree d - 1 must be in N and none may have less."""
+    forced = free = 0
+    for v, dv in enumerate(deg):
+        if dv >= d:
+            free |= 1 << v
+        elif dv == d - 1:
+            forced |= 1 << v
+        else:
+            return
+    need = d - forced.bit_count()
+    if need < 0:
+        return
+    for v in range(len(deg)):
+        if forced >> v & 1:
+            if conflicts[v] & forced:
+                return
+            free &= ~conflicts[v]
+    for chosen in _independent_sets(free, conflicts, need):
+        yield forced | chosen
+
+
+def _independent_sets(candidates: int, conflicts: list, size: int):
+    """Bitmasks of the size-element subsets of candidates that contain no
+    two vertices in conflict."""
+    if size == 0:
+        yield 0
+        return
+    while candidates.bit_count() >= size:
+        low = candidates & -candidates
+        candidates ^= low
+        rest = candidates & ~conflicts[low.bit_length() - 1]
+        for chosen in _independent_sets(rest, conflicts, size - 1):
+            yield chosen | low
+
+
+def _padded(G: Graph, n: int) -> Graph:
+    """G with a path of new vertices hung from its last vertex, up to n
+    vertices: a pendant vertex lies on no cycle and adds one edge."""
+    return Graph(n, G.edges() + [(v - 1, v) for v in range(G.n, n)])
 
 
 class _TuranSearch:
+    """Level sets of family-free graphs, one vertex at a time (facts (a)-(d)
+    of the module docstring). ``levels[k]`` maps canonical encodings to
+    graphs and holds every class on k vertices with at least ``floors[k]``
+    edges."""
+
     def __init__(self, n, family, limit, order_seed):
         self.n = n
         self.family = family
         self.limit = limit
+        self.order_seed = order_seed
         self.nodes = 0
         self.best = -1
-        self.witnesses = {}
-        self.canon_cache = {}
-        self.order_seed = order_seed
+        self.tied = []
+        self.levels = [{0: Graph(0)}] + [{} for _ in range(n)]
+        self.floors = [0] + [math.inf] * n
 
     def over_budget(self) -> BudgetExceeded:
         return BudgetExceeded(
             f"Turan search ex({self.n}, {self.family.describe()}) exceeded "
             f"its budget of {self.limit} search nodes")
 
-    def key_and_perm(self, G: Graph):
-        cached = self.canon_cache.get(G.bits)
-        if cached is None:
-            cached = canonical_labeling(G)
-            self.canon_cache[G.bits] = cached
-        return cached
+    def run(self):
+        ex = 0
+        for k in range(1, self.n + 1):
+            threshold = ex + 1 if k >= 2 else 0
+            ex = max(G.m for G in self.level(k, threshold).values())
 
-    def key(self, G: Graph):
-        return self.key_and_perm(G)[0]
-
-    def labeled_witnesses(self) -> list:
-        return [(G, self.key_and_perm(G)[1]) for G in self.witnesses.values()]
-
-    @staticmethod
-    def labeling_unless_rejected(child: Graph, u: int, v: int):
-        """The canonical labeling of child = parent + uv, or None when the
-        degrees rule out that deleting its last edge xy gives the parent.
-
-        Both deletions lower two child degrees by one, so the degree
-        multisets agree only if {deg x, deg y} = {deg u, deg v}. Root cells
-        share one degree and are ordered by degree, so the lower cell of the
-        last edge has the largest smaller-endpoint degree over all edges,
-        known before any refinement. The upper cell's degree needs the root
-        refinement, which the labeling then starts from.
-        """
-        deg = child.degrees()
-        pair = sorted((deg[u], deg[v]))
-        if pair[0] != max(min(deg[x], deg[y]) for x, y in child.edges()):
-            return None
-        colors, cells = last_edge_cells(child)
-        if sorted(deg[colors.index(cell)] for cell in cells) != pair:
-            return None
-        return canonical_labeling(child, colors)
-
-    def record(self, G: Graph, gkey):
-        if G.m > self.best:
-            self.best = G.m
-            self.witnesses = {gkey: G}
-        elif G.m == self.best:
-            self.witnesses[gkey] = G
-
-    def children_of(self, G: Graph, gkey):
-        pairs = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not G.has_edge(u, v)
-        ]
+    def level(self, k: int, threshold: int) -> dict:
+        """levels[k], extended to hold every class with at least threshold
+        edges. Children with floors[k] edges or more are there already."""
+        level = self.levels[k]
+        ceiling = self.floors[k]
+        if threshold >= ceiling:
+            return level
+        least = max(0, threshold - 2 * threshold // k)
+        parents = [P for P in self.level(k - 1, least).values()
+                   if P.m >= least]
         if self.order_seed is not None:
-            XorShift64Star(self.order_seed).shuffle(pairs)
-        out = {}
-        for u, v in pairs:
-            if _creates_forbidden(G, u, v, self.family.lengths):
-                continue
-            child = G.with_edge(u, v)
-            cached = self.canon_cache.get(child.bits)
-            if cached is None:
-                cached = self.labeling_unless_rejected(child, u, v)
-                if cached is None:
-                    continue
-                self.canon_cache[child.bits] = cached
-            ckey, cperm = cached
-            if ckey in out:
-                continue
-            cle = last_edge_under(child, cperm)
-            if cle == (u, v) or self.key(child.without_edge(*cle)) == gkey:
-                out[ckey] = child
-        return out
+            XorShift64Star(self.order_seed + k).shuffle(parents)
+        for P in parents:
+            deg = P.degrees()
+            conflicts = _conflicts(P, self.family.lengths)
+            for d in range(max(0, threshold - P.m), min(ceiling - P.m, k)):
+                for neighbours in _neighbour_sets(deg, conflicts, d):
+                    self.add(level, P, neighbours)
+        self.floors[k] = threshold
+        return level
 
-    def explore(self, G: Graph, gkey):
+    def add(self, level: dict, P: Graph, neighbours: int):
         self.nodes += 1
         if self.nodes > self.limit:
             raise self.over_budget()
-        self.record(G, gkey)
-        for ckey, child in sorted(self.children_of(G, gkey).items()):
-            self.explore(child, ckey)
+        x = P.n
+        child = Graph(x + 1, P.edges() + [(v, x) for v in range(x)
+                                           if neighbours >> v & 1])
+        labeling = canonical_labeling(child)
+        if labeling[0] not in level:
+            level[labeling[0]] = child
+            self.record(child, labeling)
+
+    def record(self, G: Graph, labeling):
+        """Keep the graphs whose padding to n vertices has the most edges:
+        each bounds ex(n) below whenever the search stops."""
+        value = G.m + self.n - G.n
+        if value > self.best:
+            self.best = value
+            self.tied = []
+        if value == self.best:
+            self.tied.append((G, labeling))
+
+    def labeled_witnesses(self) -> list:
+        """One (graph, canonical labeling) per isomorphism class among the
+        tied graphs, padded to n vertices."""
+        classes = {}
+        for G, labeling in self.tied:
+            if G.n < self.n:
+                G = _padded(G, self.n)
+                labeling = canonical_labeling(G)
+            classes.setdefault(labeling[0], (G, labeling[1]))
+        return list(classes.values())
 
 
 def _self_labeled(G: Graph) -> tuple:
     return G, canonical_labeling(G)[1]
 
 
-def _truncated(kind, instance, family, search, n_vertices, t0):
-    """The lower-bound result of a search its budget stopped. Before the
-    search records anything, the empty graph certifies the value 0."""
+def _result(kind, instance, family, search, n_vertices, t0, completed):
+    """The result a search reached: exact when it completed, a lower bound
+    when its budget stopped it. Before the search records anything, the
+    empty graph certifies the value 0."""
     if search.best < 0:
         value, witnesses = 0, [_self_labeled(Graph(n_vertices))]
     else:
         value, witnesses = search.best, search.labeled_witnesses()
     return _finish(kind, instance, family, value, witnesses, search.nodes, t0,
-                   completed=False, note="budget-truncated")
+                   completed=completed,
+                   note="" if completed else "budget-truncated")
 
 
 def _finish(kind, instance, family, value, labeled_witnesses, nodes, t0,
@@ -314,8 +347,8 @@ def _finish(kind, instance, family, value, labeled_witnesses, nodes, t0,
     )
 
 
-def turan_number(n: int, family: FamilySpec, budget=None, order_seed=None,
-                 parallel: bool = False) -> SearchResult:
+def turan_number(n: int, family: FamilySpec, budget=None,
+                 order_seed=None) -> SearchResult:
     """Exact maximum edge count of a family-free graph on n vertices, with
     every extremal graph (up to isomorphism) as a witness.
 
@@ -325,52 +358,14 @@ def turan_number(n: int, family: FamilySpec, budget=None, order_seed=None,
     if n < 0:
         raise ValueError("n must be >= 0")
     t0 = time.monotonic()
-    limit = search_budget(budget)
-    search = _TuranSearch(n, family, limit, order_seed)
-    root = Graph(n)
-    rkey = search.key(root)
+    search = _TuranSearch(n, family, search_budget(budget), order_seed)
     try:
-        if not parallel:
-            search.explore(root, rkey)
-        else:
-            _turan_parallel(search, root, rkey)
+        search.run()
     except BudgetExceeded as exc:
-        exc.result = _truncated("turan", (n,), family, search, n, t0)
+        exc.result = _result("turan", (n,), family, search, n, t0,
+                             completed=False)
         raise
-    return _finish("turan", (n,), family, search.best,
-                   search.labeled_witnesses(), search.nodes, t0,
-                   completed=True)
-
-
-def _turan_parallel(search: _TuranSearch, root: Graph, rkey):
-    """Explore disjoint level-2 subtrees concurrently; merging is a plain
-    union because canonical-parent generation never revisits a class."""
-    search.nodes += 1
-    search.record(root, rkey)
-    level1 = sorted(search.children_of(root, rkey).items())
-    tasks = []
-    for k1, g1 in level1:
-        search.nodes += 1
-        search.record(g1, k1)
-        tasks.extend(sorted(search.children_of(g1, k1).items()))
-
-    def run(task):
-        key, graph = task
-        sub = _TuranSearch(search.n, search.family, search.limit,
-                           search.order_seed)
-        sub.explore(graph, key)
-        return sub
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for sub in pool.map(run, tasks):
-            search.nodes += sub.nodes
-            if search.nodes > search.limit:
-                raise search.over_budget()
-            if sub.best > search.best:
-                search.best = sub.best
-                search.witnesses = dict(sub.witnesses)
-            elif sub.best == search.best:
-                search.witnesses.update(sub.witnesses)
+    return _result("turan", (n,), family, search, n, t0, completed=True)
 
 
 @lru_cache(maxsize=None)
@@ -588,11 +583,10 @@ def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
     try:
         search.search(0, 0, pairs_total, search.cols_n, 0, None)
     except BudgetExceeded as exc:
-        exc.result = _truncated("zarankiewicz_ab", (a, b), family, search,
-                                a + b, t0)
+        exc.result = _result("zarankiewicz_ab", (a, b), family, search,
+                             a + b, t0, completed=False)
         raise
-    return _finish("zarankiewicz_ab", (a, b), family, search.best,
-                   search.labeled_witnesses(), search.nodes, t0,
+    return _result("zarankiewicz_ab", (a, b), family, search, a + b, t0,
                    completed=True)
 
 

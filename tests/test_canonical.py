@@ -12,7 +12,6 @@ from girthlab.canonical import (
     canonical_graph,
     canonical_key,
     canonical_last_edge,
-    last_edge_cells,
 )
 from girthlab.errors import BudgetExceeded
 from girthlab.graph import Graph, relabel
@@ -103,29 +102,6 @@ def test_canonical_last_edge_consistency():
 
 def test_edgeless_has_no_last_edge():
     assert canonical_last_edge(Graph(4)) is None
-    assert last_edge_cells(Graph(4))[1] is None
-
-
-@given(graph_and_permutation())
-@settings(max_examples=150, deadline=None)
-def test_last_edge_lies_in_predicted_cells(case):
-    """The root refinement, whose cells are ordered by degree, alone names
-    the cells of the canonically last edge, and names the same cells after
-    relabeling."""
-    g, perm = case
-    predicted = []
-    for h in (g, relabel(g, perm)):
-        colors, cells = last_edge_cells(h)
-        e = canonical_last_edge(h)
-        degrees = h.degrees()
-        assert all(degrees[x] <= degrees[y] for x in range(h.n)
-                   for y in range(h.n) if colors[x] < colors[y])
-        if e is None:
-            assert cells is None
-        else:
-            assert tuple(sorted(colors[x] for x in e)) == cells
-        predicted.append(cells)
-    assert predicted[0] == predicted[1]
 
 
 class _UnprunedSearch(_CanonSearch):

@@ -1,10 +1,13 @@
-"""The walks and spectral verify reports, pinned byte for byte.
+"""The verify reports, pinned byte for byte.
 
-Each digest is the sha256 of ``run_verify(suite, seed).to_json()``, recorded
-at commit a1d7968, before the Jacobi rotation, the walk DP and the path DFS
-were rewritten to do the same arithmetic in fewer steps. A change that moves
-one byte of these reports, down to the last bit of a printed eigenvalue,
-fails here.
+Each digest is the sha256 of ``run_verify(suite, seed).to_json()``. The
+walks and spectral digests were recorded at commit a1d7968, before the
+Jacobi rotation, the walk DP and the path DFS were rewritten to do the same
+arithmetic in fewer steps. The search and all digests were recorded at
+commit 99a6534, before the Turán search moved from edge to vertex
+augmentation; ``search_suite`` ignores its seed, so one search digest covers
+it. A change that moves one byte of these reports, down to the last bit of
+a printed eigenvalue, fails here.
 """
 
 import hashlib
@@ -22,6 +25,10 @@ DIGESTS = {
         "f71b96bfd18c96ca4fabace57b188f8546ffa46f4f7b98022ffcf84756d44f7d",
     ("spectral", 7):
         "66d5ea334de8895c8532ffb985c5c826f1fcb6a37cdcf0254cde518899fcde5b",
+    ("search", 42):
+        "08a9d1ba322637bbbd5ba9c25d30cc3ebc17d14f36e57873ccb73242f2365f49",
+    ("all", 42):
+        "2a9a5249987b1baaae0a00f46c28d03f2858f1b8156b408e8d3383419104cc07",
 }
 
 

@@ -1,9 +1,10 @@
 """The extremal searches are cross-checked four independent ways: direct
-enumeration over all edge subsets (n <= 7), closed-form values (triangle
-case), re-runs under shuffled exploration order and concurrency, and
-reference searches without the shortcuts that keep canonical labeling off
-the hot path."""
+enumeration over all edge subsets (n <= 7), closed-form and published values
+(triangle case, ex(n; {C3, C4}) to n = 14), re-runs under shuffled
+exploration order and concurrency, and reference searches without the cuts
+and shortcuts of the production searches."""
 
+import functools
 import itertools
 
 import pytest
@@ -17,8 +18,7 @@ from girthlab.canonical import (
 )
 from girthlab.errors import BudgetExceeded, UnsupportedInstance
 from girthlab.formats import graph6_decode, graph6_encode
-from girthlab.graph import Graph, is_family_free
-from girthlab.rng import XorShift64Star
+from girthlab.graph import Graph, contains_cycle, is_family_free, relabel
 from girthlab.search import (
     FamilySpec,
     SearchResult,
@@ -34,6 +34,9 @@ C4 = FamilySpec.of(4)
 C3 = FamilySpec.of(3)
 C4C5 = FamilySpec.of(4, 5)
 EX_C4C5 = {5: 6, 6: 7, 7: 9, 8: 10, 9: 12}
+# Garnick, Kwong & Lazebnik, J. Graph Theory 17 (1993), beyond the reach of
+# the reference searches
+EX_C3C4 = (0, 1, 2, 3, 5, 6, 8, 10, 12, 15, 16, 18, 21, 23)
 
 
 def brute_force_extremal(n, lengths):
@@ -120,12 +123,11 @@ class TestTuran:
             assert g.m == res.value
             assert is_family_free(g, 2, k=5)
 
-    def test_order_and_concurrency_invariance(self):
+    def test_order_invariance(self):
         base = turan_number(7, C4C5)
         shuffled = turan_number(7, C4C5, order_seed=12345)
-        parallel = turan_number(7, C4C5, parallel=True)
-        assert base.value == shuffled.value == parallel.value
-        assert base.witnesses == shuffled.witnesses == parallel.witnesses
+        assert base.value == shuffled.value
+        assert base.witnesses == shuffled.witnesses
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_independent_orderings_agree_beyond_direct_range(self, n):
@@ -139,6 +141,33 @@ class TestTuran:
     def test_monotone_in_n(self):
         values = [turan_number(n, C4C5).value for n in range(3, 9)]
         assert values == sorted(values)
+
+    def test_girth_five_values_to_fourteen(self):
+        values = [turan_number(n, FamilySpec.of(3, 4)).value
+                  for n in range(1, 15)]
+        assert tuple(values) == EX_C3C4
+
+    def test_petersen_is_the_unique_girth_five_extremal_graph_at_ten(self):
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        petersen = Graph(10, outer + inner + [(i, 5 + i) for i in range(5)])
+        res = turan_number(10, FamilySpec.of(3, 4))
+        assert (res.value, res.completed) == (15, True)
+        assert res.witnesses == (graph6_encode(canonical_graph(petersen)),)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("lengths,expected", [((4, 5), 23), ((4, 7), 21)])
+    def test_fourteen_vertices_complete_under_a_budget(self, lengths,
+                                                       expected):
+        """The first generalized-polygon order for ell = 2 is in reach:
+        two exploration orders give the same exact value and witnesses."""
+        family = FamilySpec.of(*lengths)
+        first = turan_number(14, family, budget=200_000, order_seed=1)
+        second = turan_number(14, family, budget=200_000,
+                              order_seed=987654321)
+        assert first.completed and second.completed
+        assert first.value == second.value == expected
+        assert first.witnesses == second.witnesses
 
     def test_budget_carries_partial_result(self):
         with pytest.raises(BudgetExceeded) as err:
@@ -320,31 +349,44 @@ def test_witness_key_round_trip():
         assert canonical_key(g) == canonical_key(canonical_graph(g))
 
 
-class _UnfilteredTuran(search._TuranSearch):
-    """Reference: every child is canonically labeled and its last edge is
-    tested by deleting it, with no degree or root-cell prefilter."""
+def _edge_augmentation_ex(n, lengths):
+    """Reference: (value, witnesses) of ex(n, {C_L : L in lengths}) by
+    canonical augmentation with edges, the search girthlab used before
+    vertex augmentation, with no cut. It visits every isomorphism class of
+    family-free graphs on n vertices: a child is kept when deleting its
+    canonically last edge gives back the parent's class."""
+    labelings = {}
 
-    def children_of(self, G, gkey):
-        pairs = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not G.has_edge(u, v)
-        ]
-        if self.order_seed is not None:
-            XorShift64Star(self.order_seed).shuffle(pairs)
-        out = {}
-        for u, v in pairs:
-            if search._creates_forbidden(G, u, v, self.family.lengths):
+    def labeling(G):
+        if G.bits not in labelings:
+            labelings[G.bits] = canonical_labeling(G)
+        return labelings[G.bits]
+
+    best = {}
+
+    def explore(G, key):
+        best.setdefault(G.m, {})[key] = G
+        children = {}
+        for u, v in itertools.combinations(range(n), 2):
+            if G.has_edge(u, v):
                 continue
             child = G.with_edge(u, v)
-            ckey, cperm = self.key_and_perm(child)
-            if ckey in out:
+            if any(contains_cycle(child, length) for length in lengths):
                 continue
-            cle = last_edge_under(child, cperm)
-            if self.key(child.without_edge(*cle)) == gkey:
-                out[ckey] = child
-        return out
+            ckey, cperm = labeling(child)
+            if ckey in children:
+                continue
+            last = last_edge_under(child, cperm)
+            if labeling(child.without_edge(*last))[0] == key:
+                children[ckey] = child
+        for ckey, child in sorted(children.items()):
+            explore(child, ckey)
+
+    root = Graph(n)
+    explore(root, labeling(root)[0])
+    value = max(best)
+    return value, tuple(sorted(graph6_encode(relabel(G, labeling(G)[1]))
+                               for G in best[value].values()))
 
 
 class _EagerZarankiewicz(search._ZarankiewiczSearch):
@@ -386,16 +428,26 @@ def _against_reference(monkeypatch, name, reference, call):
     assert _outcome(call) == fast
 
 
+ORACLE_FAMILIES = [(3,), (4,), (3, 4), (4, 5), (3, 5),
+                   (5,), (4, 6), (4, 7), (3, 5, 7)]
+
+
+@functools.cache
+def _oracle(n, lengths):
+    return _edge_augmentation_ex(n, lengths)
+
+
 @pytest.mark.parametrize("order_seed", [None, 1, 987654321])
-@pytest.mark.parametrize("lengths", [(3,), (4,), (3, 4), (4, 5), (3, 5)])
-def test_turan_prefilter_matches_unfiltered_reference(monkeypatch, lengths,
-                                                      order_seed):
+@pytest.mark.parametrize("lengths", ORACLE_FAMILIES)
+def test_turan_prefilter_matches_unfiltered_reference(lengths, order_seed):
+    """The vertex-augmentation search, with its threshold, min-degree and
+    conflict cuts, finds the value and every extremal class that the
+    uncut edge-augmentation reference finds."""
     family = FamilySpec.of(*lengths)
     for n in range(1, 9):
-        _against_reference(
-            monkeypatch, "_TuranSearch", _UnfilteredTuran,
-            lambda: turan_number(n, family, order_seed=order_seed))
-        monkeypatch.undo()
+        res = turan_number(n, family, order_seed=order_seed)
+        assert (res.value, res.witnesses, res.completed) == (
+            *_oracle(n, lengths), True)
 
 
 @pytest.mark.parametrize("lengths", [(4,), (4, 6)])
@@ -411,15 +463,47 @@ def test_deferred_witnesses_match_eager_reference(monkeypatch, lengths):
 
 @pytest.mark.parametrize("budget", [10, 60, 300, 2000])
 def test_truncated_searches_match_references(monkeypatch, budget):
-    """On the budget-truncated path too, the shortcuts leave the partial
-    value, witnesses and node count unchanged."""
-    _against_reference(
-        monkeypatch, "_TuranSearch", _UnfilteredTuran,
-        lambda: turan_number(8, C4C5, budget=budget, order_seed=1))
-    monkeypatch.undo()
+    """On the budget-truncated path too, deferred labeling leaves the
+    partial value, witnesses and node count unchanged."""
     _against_reference(
         monkeypatch, "_ZarankiewiczSearch", _EagerZarankiewicz,
         lambda: zarankiewicz_ab(5, 6, C4, budget=budget))
+
+
+@pytest.mark.parametrize("n,lengths", [(8, (4, 5)), (7, (3,)), (9, (4, 7))])
+def test_turan_budget_boundary(n, lengths):
+    """A budget of exactly the nodes a full run takes completes it with
+    the same result; one node less raises."""
+    family = FamilySpec.of(*lengths)
+    full = turan_number(n, family, order_seed=1)
+    exact = turan_number(n, family, budget=full.nodes, order_seed=1)
+    assert (exact.value, exact.witnesses, exact.completed, exact.nodes) == (
+        full.value, full.witnesses, True, full.nodes)
+    with pytest.raises(BudgetExceeded):
+        turan_number(n, family, budget=full.nodes - 1, order_seed=1)
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+@pytest.mark.parametrize("n,lengths", [(8, (4, 5)), (7, (3,))])
+def test_truncated_turan_is_an_honest_lower_bound(n, lengths, order_seed):
+    """A truncated search reports at most the exact value, each witness is
+    a family-free graph on n vertices with that many edges, and a larger
+    budget never reports less."""
+    family = FamilySpec.of(*lengths)
+    full = turan_number(n, family, order_seed=order_seed)
+    previous = 0
+    for budget in range(0, full.nodes, max(1, full.nodes // 40)):
+        with pytest.raises(BudgetExceeded) as err:
+            turan_number(n, family, budget=budget, order_seed=order_seed)
+        res = err.value.result
+        assert not res.completed and res.note == "budget-truncated"
+        assert previous <= res.value <= full.value
+        assert res.witnesses
+        for enc in res.witnesses:
+            g = graph6_decode(enc)
+            assert (g.n, g.m) == (n, res.value)
+            assert not any(contains_cycle(g, length) for length in lengths)
+        previous = res.value
 
 
 @pytest.mark.parametrize("parallel", [False, True])
