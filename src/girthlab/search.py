@@ -39,10 +39,22 @@ the smaller part, under three sound symmetry rules (row sizes
 non-increasing; columns first used by a row take the smallest unused labels
 consecutively; equal-size consecutive rows lexicographically
 non-decreasing) with admissible pruning from the column-pair budget
-(quadrilateral-free case) and the unbalanced Zarankiewicz bound. The
-search keeps the raw row configurations tied at the running best and
-canonically labels them only once it ends (completed or budget-truncated),
-since almost all ties are overtaken by a larger configuration.
+(quadrilateral-free case) and the unbalanced Zarankiewicz bound. Cycles are
+cut by fact (c) applied to the new row as the added vertex x: the row keeps
+the family out iff its columns are independent in the conflict graph of the
+rows placed so far. Odd lengths never close a cycle in a bipartite graph.
+For C4 alone the conflicts of column c are the union of the rows that
+contain c, since two columns joined by a path of two edges share a row;
+longer even lengths take the column entries of the conflict masks. A row
+carries the union of its columns' conflicts, so it is cut as soon as it
+takes a conflicting column. The search keeps the raw row configurations
+tied at the running best and labels them only once it ends (completed or
+budget-truncated), since almost all ties are overtaken by a larger
+configuration. Then it labels one configuration per column class, the
+sorted tuple of column masks (bit i of column c's mask set when row i
+contains c): two configurations with equal keys differ by a permutation of
+the columns with the rows fixed, so their graphs are isomorphic and give
+the same canonical witness.
 
 Every certificate records whether the search completed; truncated runs are
 lower bounds only and are never reported as exact.
@@ -61,7 +73,7 @@ from .canonical import canonical_graph, canonical_labeling
 from .errors import BudgetExceeded, UnsupportedInstance
 from .formats import graph6_encode
 from .geometry import augment_distance_two, gq_w3, incidence_graph
-from .graph import Graph, contains_cycle, cycle_spectrum, relabel
+from .graph import Graph, cycle_spectrum, relabel
 from .rng import XorShift64Star
 from .walks import BoundReport
 
@@ -387,6 +399,17 @@ def _pair_budget_ub(rows_left: int, pairs_left: int, size_cap: int) -> int:
     return best
 
 
+def _column_key(rows, cols_n: int) -> tuple:
+    """The sorted column masks of a row configuration: bit i of column c's
+    mask is set when row i contains c. Configurations with equal keys differ
+    only by a permutation of the columns."""
+    masks = [0] * cols_n
+    for i, row in enumerate(rows):
+        for c in row:
+            masks[c] |= 1 << i
+    return tuple(sorted(masks))
+
+
 class _ZarankiewiczSearch:
     """Branch and bound over rows (neighborhood sets of the smaller part)."""
 
@@ -396,9 +419,8 @@ class _ZarankiewiczSearch:
         self.rows_n = min(a, b)
         self.cols_n = max(a, b)
         self.family = family
-        self.even = [x for x in family.even_lengths]
+        self.even = family.even_lengths
         self.has_c4 = 4 in family.lengths
-        self.other_even = [x for x in self.even if x != 4]
         self.limit = limit
         self.nodes = 0
         self.best = -1
@@ -411,7 +433,6 @@ class _ZarankiewiczSearch:
         else:
             self.total_cap = a * b
         self.rows = []
-        self.row_bits = []
         self.tied = set()
 
     def over_budget(self) -> BudgetExceeded:
@@ -443,23 +464,32 @@ class _ZarankiewiczSearch:
 
     def labeled_witnesses(self) -> list:
         """One (graph, canonical labeling) per isomorphism class among the
-        configurations tied at the best value."""
-        classes = {}
+        configurations tied at the best value, labeling one configuration
+        per column class."""
+        classes, seen = {}, set()
         for rows in self.tied:
+            column_key = _column_key(rows, self.cols_n)
+            if column_key in seen:
+                continue
+            seen.add(column_key)
             G = self.make_graph(rows)
             key, perm = canonical_labeling(G)
             classes.setdefault(key, (G, perm))
         return list(classes.values())
 
-    def row_ok_for_long_cycles(self, row) -> bool:
-        if not self.other_even:
-            return True
-        trial = self.rows + [row]
-        edges = []
-        for i, r in enumerate(trial):
-            edges.extend((i, self.rows_n + c) for c in r)
-        G = Graph(self.rows_n + self.cols_n, edges)
-        return not any(contains_cycle(G, L) for L in self.other_even)
+    def column_conflicts(self) -> list:
+        """conf[c]: the columns that may not share the next row with column
+        c, as a column bitmask (fact (c) for the new row vertex)."""
+        if self.even == (4,):
+            conf = [0] * self.cols_n
+            for row in self.rows:
+                bits = sum(1 << c for c in row)
+                for c in row:
+                    conf[c] |= bits
+            return conf
+        shift = self.rows_n
+        return [bits >> shift for bits in
+                _conflicts(self.make_graph(self.rows), self.even)[shift:]]
 
     def search(self, row_index, used_cols, pairs_left, size_cap, edges_sum,
                prev_row):
@@ -470,6 +500,7 @@ class _ZarankiewiczSearch:
             self.record()
             return
         rows_left = self.rows_n - row_index
+        conf = self.column_conflicts()
         sizes = list(range(size_cap, -1, -1))
         if self.order_seed is not None:
             XorShift64Star(self.order_seed + row_index).shuffle(sizes)
@@ -490,23 +521,16 @@ class _ZarankiewiczSearch:
             # graph keeps a representation (greedy lex-min row order works)
             floor_row = prev_row if prev_row is not None and s == len(prev_row) else None
             self._enumerate_rows(row_index, used_cols, pairs_left, s,
-                                 edges_sum, [], [0] * row_index, 0,
-                                 floor_row, True)
+                                 edges_sum, [], conf, 0, 0, floor_row, True)
 
     def _enumerate_rows(self, row_index, used_cols, pairs_left, s, edges_sum,
-                        chosen, overlaps, fresh, floor_row, tight):
+                        chosen, conf, blocked, fresh, floor_row, tight):
         self.nodes += 1
         if self.nodes > self.limit:
             raise self.over_budget()
         if len(chosen) == s:
             row = tuple(chosen)
-            if not self.row_ok_for_long_cycles(row):
-                return
             self.rows.append(row)
-            bits = 0
-            for c in row:
-                bits |= 1 << c
-            self.row_bits.append(bits)
             cost = s * (s - 1) // 2
             self.search(row_index + 1,
                         used_cols + fresh,
@@ -515,7 +539,6 @@ class _ZarankiewiczSearch:
                         edges_sum + s,
                         row)
             self.rows.pop()
-            self.row_bits.pop()
             return
         need = s - len(chosen)
         pos = len(chosen)
@@ -537,24 +560,12 @@ class _ZarankiewiczSearch:
                 room = self.cols_n - c - 1
             if room < need - 1:
                 continue
-            if self.has_c4:
-                bad = False
-                for j, rb in enumerate(self.row_bits):
-                    if (rb >> c) & 1 and overlaps[j] == 1:
-                        bad = True
-                        break
-                if bad:
-                    continue
-                new_overlaps = list(overlaps)
-                for j, rb in enumerate(self.row_bits):
-                    if (rb >> c) & 1:
-                        new_overlaps[j] += 1
-            else:
-                new_overlaps = overlaps
+            if blocked >> c & 1:
+                continue
             chosen.append(c)
             still_tight = tight and floor_row is not None and c == floor_row[pos]
             self._enumerate_rows(row_index, used_cols, pairs_left, s,
-                                 edges_sum, chosen, new_overlaps,
+                                 edges_sum, chosen, conf, blocked | conf[c],
                                  fresh + (1 if c >= used_cols else 0),
                                  floor_row, still_tight)
             chosen.pop()

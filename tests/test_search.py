@@ -8,6 +8,7 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from girthlab import search
 from girthlab.canonical import (
@@ -470,6 +471,109 @@ def test_truncated_searches_match_references(monkeypatch, budget):
         lambda: zarankiewicz_ab(5, 6, C4, budget=budget))
 
 
+class _RowCheckedZarankiewicz(search._ZarankiewiczSearch):
+    """Reference: the cycle check without conflict masks. Only C4 is cut
+    part-way through a row, by the columns that already share a row; each
+    finished row is checked with contains_cycle for every even length; and
+    the unbalanced bound is off."""
+
+    def __init__(self, a, b, family, limit, order_seed):
+        super().__init__(a, b, family, limit, order_seed)
+        self.total_cap = a * b
+
+    def column_conflicts(self):
+        conf = [0] * self.cols_n
+        if self.has_c4:
+            for row in self.rows:
+                for c, d in itertools.permutations(row, 2):
+                    conf[c] |= 1 << d
+        return conf
+
+    def search(self, row_index, *args):
+        if self.rows and any(contains_cycle(self.make_graph(self.rows), length)
+                             for length in self.even):
+            return
+        super().search(row_index, *args)
+
+
+SMALL_AB = [(a, b) for a in range(1, 31) for b in range(a, 31) if a * b <= 30]
+# without C4 the reference has no pair budget and no cut before a row is
+# finished: z(3, 9; {C6}) takes it about 200,000 nodes, z(3, 10) 850,000
+C6_AB = [ab for ab in SMALL_AB if ab not in ((3, 9), (3, 10))]
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+@pytest.mark.parametrize("lengths,sizes", [((4,), SMALL_AB),
+                                           ((4, 6), SMALL_AB),
+                                           ((4, 6, 8), SMALL_AB),
+                                           ((4, 8), SMALL_AB),
+                                           ((6,), C6_AB)])
+def test_conflict_masks_match_row_checked_reference(monkeypatch, lengths,
+                                                    sizes, order_seed):
+    """The conflict-mask cut and the unbalanced bound find the value and
+    every extremal class that the row-checked reference finds. For C4 the
+    two searches walk the same tree; longer cycles are cut part-way
+    through a row, so the search never takes more nodes."""
+    family = FamilySpec.of(*lengths)
+    for a, b in sizes:
+        call = functools.partial(zarankiewicz_ab, a, b, family,
+                                 order_seed=order_seed)
+        fast = _outcome(call)
+        monkeypatch.setattr(search, "_ZarankiewiczSearch",
+                            _RowCheckedZarankiewicz)
+        slow = _outcome(call)
+        monkeypatch.undo()
+        assert fast[:3] == slow[:3], (a, b)
+        if lengths == (4,):
+            assert fast[3] == slow[3], (a, b)
+        else:
+            assert fast[3] <= slow[3], (a, b)
+
+
+@st.composite
+def configuration_and_column_permutation(draw):
+    cols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.sets(st.integers(0, cols - 1)), max_size=5))
+    perm = draw(st.permutations(range(cols)))
+    return [tuple(sorted(r)) for r in rows], cols, perm
+
+
+def _configuration_graph(rows, cols):
+    return Graph(len(rows) + cols,
+                 [(i, len(rows) + c) for i, row in enumerate(rows) for c in row])
+
+
+@given(configuration_and_column_permutation())
+@settings(max_examples=200, deadline=None)
+def test_column_key_is_invariant_under_column_permutation(case):
+    rows, cols, perm = case
+    moved = [tuple(sorted(perm[c] for c in row)) for row in rows]
+    assert search._column_key(rows, cols) == search._column_key(moved, cols)
+    assert canonical_graph(_configuration_graph(rows, cols)) == \
+        canonical_graph(_configuration_graph(moved, cols))
+
+
+def test_one_labeling_per_column_class(monkeypatch):
+    """z(3, 9) ties many configurations at order seed 42 but labels one per
+    column class."""
+    labeled, keys = [], []
+    column_key = search._column_key
+
+    def counting_labeling(G, *args):
+        labeled.append(G)
+        return canonical_labeling(G, *args)
+
+    def recording_key(rows, cols_n):
+        keys.append(column_key(rows, cols_n))
+        return keys[-1]
+
+    monkeypatch.setattr(search, "canonical_labeling", counting_labeling)
+    monkeypatch.setattr(search, "_column_key", recording_key)
+    res = zarankiewicz_ab(3, 9, C4, order_seed=42)
+    assert res.completed and res.value == 12
+    assert len(labeled) == len(set(keys)) < len(keys)
+
+
 @pytest.mark.parametrize("n,lengths", [(8, (4, 5)), (7, (3,)), (9, (4, 7))])
 def test_turan_budget_boundary(n, lengths):
     """A budget of exactly the nodes a full run takes completes it with
@@ -502,6 +606,29 @@ def test_truncated_turan_is_an_honest_lower_bound(n, lengths, order_seed):
         for enc in res.witnesses:
             g = graph6_decode(enc)
             assert (g.n, g.m) == (n, res.value)
+            assert not any(contains_cycle(g, length) for length in lengths)
+        previous = res.value
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+def test_truncated_long_family_z_is_an_honest_lower_bound(order_seed):
+    """As for Turán: a search of z(6, 6; {C4, C6}) stopped by its budget
+    reports at most the exact value, never less for a larger budget, and
+    witnesses that are {C4, C6}-free on 12 vertices with that many edges."""
+    lengths = (4, 6)
+    family = FamilySpec.of(*lengths)
+    full = zarankiewicz_ab(6, 6, family, order_seed=order_seed)
+    previous = 0
+    for budget in range(0, full.nodes, max(1, full.nodes // 20)):
+        with pytest.raises(BudgetExceeded) as err:
+            zarankiewicz_ab(6, 6, family, budget=budget, order_seed=order_seed)
+        res = err.value.result
+        assert not res.completed and res.note == "budget-truncated"
+        assert previous <= res.value <= full.value
+        assert res.witnesses
+        for enc in res.witnesses:
+            g = graph6_decode(enc)
+            assert (g.n, g.m) == (12, res.value)
             assert not any(contains_cycle(g, length) for length in lengths)
         previous = res.value
 
