@@ -10,7 +10,6 @@ code paths cheap.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,37 +69,6 @@ class Graph:
 
     def edges(self) -> list:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        return self._toggled(u, v, True)
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        return self._toggled(u, v, False)
-
-    def _toggled(self, u: int, v: int, present: bool) -> "Graph":
-        """Copy with edge uv present or absent, in O(n): only the two
-        endpoint rows change."""
-        n = self.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        adj = list(self.adj)
-        bits = list(self.bits)
-        m = self.m
-        if self.has_edge(u, v) != present:
-            for x, y in ((u, v), (v, u)):
-                bits[x] ^= 1 << y
-                if present:
-                    row = list(adj[x])
-                    insort(row, y)
-                    adj[x] = tuple(row)
-                else:
-                    adj[x] = tuple(w for w in adj[x] if w != y)
-            m += 1 if present else -1
-        g = Graph.__new__(Graph)
-        g.n, g.m, g.adj, g.bits = n, m, tuple(adj), tuple(bits)
-        return g
 
     def __eq__(self, other):
         return (
@@ -420,6 +388,34 @@ def odd_cycle_run(G: Graph, r: int, s: int, budget=None):
         ):
             return m
     return None
+
+
+def dense_layer_radius(G: Graph, rmax: int, min_average):
+    """Least r <= rmax such that the r-th BFS layer of some vertex has at
+    least two vertices and induces average degree >= min_average, or None.
+
+    This is the hypothesis of the dense-neighbourhood lemma: with
+    min_average = 2s - 4, G is expected to contain cycles of every odd
+    length 2m+1, ..., 2m+s for some m <= r, which ``odd_cycle_run(G, r, s)``
+    looks for.
+    """
+    best = None
+    for v in range(G.n):
+        layers = neighborhood_layers(G, v, rmax)
+        for r in range(1, rmax + 1 if best is None else best):
+            layer = layers[r]
+            if len(layer) < 2:
+                continue
+            mask = 0
+            for u in layer:
+                mask |= 1 << u
+            deg_sum = sum((G.bits[u] & mask).bit_count() for u in layer)
+            if deg_sum >= min_average * len(layer):
+                best = r
+                break
+        if best == 1:
+            break
+    return best
 
 
 def max_bipartite_local(G: Graph) -> BipartiteGraph:

@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -602,38 +601,37 @@ def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
 
 
 def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
-                        order_seed=None, parallel: bool = False) -> SearchResult:
+                        order_seed=None) -> SearchResult:
     """Exact maximum edges of a family-free bipartite graph on n vertices,
-    maximized over all part splits a + b = n."""
+    maximized over all part splits a + b = n.
+
+    One node budget covers all the splits: each split gets what the earlier
+    splits left of it.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     t0 = time.monotonic()
     if n <= 1:
         return _finish("zarankiewicz", (n,), family, 0,
                        [_self_labeled(Graph(n))], 1, t0, completed=True)
-    splits = [(a, n - a) for a in range(1, n // 2 + 1)]
-
-    def run(split):
-        return zarankiewicz_ab(split[0], split[1], family, budget=budget,
-                               order_seed=order_seed)
-
+    limit = search_budget(budget)
     results = []
     try:
-        if parallel:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                for res in pool.map(run, splits):
-                    results.append(res)
-        else:
-            for split in splits:
-                results.append(run(split))
+        for a in range(1, n // 2 + 1):
+            spent = sum(r.nodes for r in results)
+            results.append(zarankiewicz_ab(a, n - a, family,
+                                           budget=limit - spent,
+                                           order_seed=order_seed))
     except BudgetExceeded as exc:
         # the completed splits and the failing split's own partial result
         # together bound z(n) from below
         if exc.result is not None:
             results.append(exc.result)
-        exc.result = _merge_splits(n, family, results, t0, completed=False,
-                                   note="budget-truncated")
-        raise
+        raise BudgetExceeded(
+            f"row search z({n}; {family.describe()}) exceeded its budget of "
+            f"{limit} search nodes",
+            _merge_splits(n, family, results, t0, completed=False,
+                          note="budget-truncated")) from exc
     return _merge_splits(n, family, results, t0,
                          completed=all(r.completed for r in results))
 

@@ -93,11 +93,12 @@ def test_canonical_last_edge_consistency():
     e = canonical_last_edge(g)
     assert g.has_edge(*e)
     # removing it must give the same parent class from every relabeling
-    parent_key = canonical_key(g.without_edge(*e))
+    parent_key = canonical_key(Graph(5, [f for f in g.edges() if f != e]))
     for perm in itertools.permutations(range(5)):
         h = relabel(g, perm)
         eh = canonical_last_edge(h)
-        assert canonical_key(h.without_edge(*eh)) == parent_key
+        parent = Graph(5, [f for f in h.edges() if f != eh])
+        assert canonical_key(parent) == parent_key
 
 
 def test_edgeless_has_no_last_edge():

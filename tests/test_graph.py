@@ -1,9 +1,12 @@
 import itertools
 import math
 
-import pytest
-from hypothesis import assume, given, settings, strategies as st
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from girthlab.corpus import dense_corpus
 from girthlab.errors import BudgetExceeded, NotBipartite
 from girthlab.graph import (
     BipartiteGraph,
@@ -12,6 +15,7 @@ from girthlab.graph import (
     chromatic_number,
     contains_cycle,
     cycle_spectrum,
+    dense_layer_radius,
     diameter,
     e_between,
     girth,
@@ -58,26 +62,6 @@ class TestGraphBasics:
             Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 5)])
-
-    @given(graphs(max_n=10), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_edge_toggles_match_rebuilt_graph(self, g, data):
-        assume(g.n >= 2)
-        u, v = data.draw(st.sampled_from(
-            [(x, y) for x in range(g.n) for y in range(g.n) if x != y]))
-        rest = [e for e in g.edges() if set(e) != {u, v}]
-        for got, want in ((g.with_edge(u, v), Graph(g.n, rest + [(u, v)])),
-                          (g.without_edge(u, v), Graph(g.n, rest))):
-            assert (got.n, got.m, got.adj, got.bits) == (
-                want.n, want.m, want.adj, want.bits)
-
-    def test_edge_toggles_reject_loops_and_range(self):
-        g = Graph(3, [(0, 1)])
-        for u, v in ((1, 1), (0, 5)):
-            with pytest.raises(ValueError):
-                g.with_edge(u, v)
-            with pytest.raises(ValueError):
-                g.without_edge(u, v)
 
     def test_bipartite_validation(self):
         with pytest.raises(NotBipartite):
@@ -176,6 +160,53 @@ class TestGirthAndCycles:
             if found:
                 expected.add(k)
         assert set(cycle_spectrum(g, max(3, g.n))) == expected
+
+
+def reference_layer_radius(g, rmax, min_average):
+    """Reference for dense_layer_radius: scan every vertex's layers 1..rmax
+    with set membership and exact rational averages."""
+    min_r = None
+    for v in range(g.n):
+        layers = neighborhood_layers(g, v, rmax)
+        for r in range(1, rmax + 1):
+            layer = layers[r]
+            if len(layer) < 2:
+                continue
+            members = set(layer)
+            deg_sum = sum(
+                sum(1 for w in g.adj[u] if w in members) for u in layer
+            )
+            if Fraction(deg_sum, len(layer)) >= min_average:
+                min_r = r if min_r is None else min(min_r, r)
+        if min_r == 1:
+            break
+    return min_r
+
+
+class TestDenseLayerRadius:
+    @pytest.mark.parametrize("seed", [16, 51, 1729])
+    @pytest.mark.parametrize("s", [5, 7])
+    def test_matches_reference_on_dense_corpus(self, seed, s):
+        radii = [dense_layer_radius(g, 3, 2 * s - 4)
+                 for g in dense_corpus(60, seed)]
+        assert radii == [reference_layer_radius(g, 3, 2 * s - 4)
+                         for g in dense_corpus(60, seed)]
+        assert any(r is not None for r in radii)
+
+    @given(graphs(max_n=10), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=10))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_small_graphs(self, g, rmax, min_average):
+        assert dense_layer_radius(g, rmax, min_average) == (
+            reference_layer_radius(g, rmax, min_average))
+
+    def test_complete_graph_qualifies_at_radius_one(self):
+        # N_1(v) of K_9 is K_8: average degree 7
+        assert dense_layer_radius(complete_graph(9), 3, 7) == 1
+        assert dense_layer_radius(complete_graph(9), 3, 8) is None
+        # a path's layers hold two vertices 2r apart, so no inner edges
+        assert dense_layer_radius(path_graph(6), 3, 0) == 1
+        assert dense_layer_radius(path_graph(6), 3, 1) is None
 
 
 class TestBipartition:

@@ -6,7 +6,9 @@ Jacobi rotation, the walk DP and the path DFS were rewritten to do the same
 arithmetic in fewer steps. The search and all digests were recorded at
 commit 99a6534, before the Turán search moved from edge to vertex
 augmentation; ``search_suite`` ignores its seed, so one search digest covers
-it. A change that moves one byte of these reports, down to the last bit of
+it. The geometry digests were recorded at commit 3e4f721, before the
+geometry suite read its graphs from one construction table and computed
+each girth and quadrilateral check once. A change that moves one byte of these reports, down to the last bit of
 a printed eigenvalue, fails here.
 """
 
@@ -17,6 +19,10 @@ import pytest
 from girthlab.verify import run_verify
 
 DIGESTS = {
+    ("geometry", 42):
+        "be590543d6284f291027f2f35ba72d00b1c4d4741eaa519771aa8fbb9c24536a",
+    ("geometry", 7):
+        "a26949a078350905ee68666644e77b0e7e19c8436a38782d877cde15f625c674",
     ("walks", 42):
         "2960847f3e044a22a1047af51b7aec5b17b1b05c24fc16f7cd3b1c856efb4b07",
     ("walks", 7):

@@ -253,9 +253,8 @@ class TestZarankiewicz:
     def test_order_invariance(self):
         base = zarankiewicz_number(10, C4)
         shuffled = zarankiewicz_number(10, C4, order_seed=777)
-        parallel = zarankiewicz_number(10, C4, parallel=True)
-        assert base.value == shuffled.value == parallel.value
-        assert base.witnesses == shuffled.witnesses == parallel.witnesses
+        assert base.value == shuffled.value
+        assert base.witnesses == shuffled.witnesses
 
     def test_witnesses_quadrilateral_free(self):
         res = zarankiewicz_number(8, C4)
@@ -371,14 +370,15 @@ def _edge_augmentation_ex(n, lengths):
         for u, v in itertools.combinations(range(n), 2):
             if G.has_edge(u, v):
                 continue
-            child = G.with_edge(u, v)
+            child = Graph(n, G.edges() + [(u, v)])
             if any(contains_cycle(child, length) for length in lengths):
                 continue
             ckey, cperm = labeling(child)
             if ckey in children:
                 continue
             last = last_edge_under(child, cperm)
-            if labeling(child.without_edge(*last))[0] == key:
+            parent = Graph(n, [e for e in child.edges() if e != last])
+            if labeling(parent)[0] == key:
                 children[ckey] = child
         for ckey, child in sorted(children.items()):
             explore(child, ckey)
@@ -633,23 +633,42 @@ def test_truncated_long_family_z_is_an_honest_lower_bound(order_seed):
         previous = res.value
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_truncated_z_keeps_completed_splits(parallel):
+def test_truncated_z_keeps_completed_splits():
     """A budget that stops z(10) in split (3, 7) still reports the splits
-    finished before it and that split's own partial result."""
+    finished before it and that split's own partial result. Each split runs
+    on what the earlier splits left of the one budget."""
     budget = 300
     finished, partial = [], None
     for a in range(1, 6):
+        left = budget - sum(r.nodes for r in finished)
         try:
-            finished.append(zarankiewicz_ab(a, 10 - a, C4, budget=budget))
+            finished.append(zarankiewicz_ab(a, 10 - a, C4, budget=left))
         except BudgetExceeded as exc:
             partial = exc.result
             break
-    assert finished and partial is not None
+    assert len(finished) == 2 and partial is not None
     with pytest.raises(BudgetExceeded) as err:
-        zarankiewicz_number(10, C4, budget=budget, parallel=parallel)
+        zarankiewicz_number(10, C4, budget=budget)
     res = err.value.result
     assert not res.completed
-    assert res.value >= max(r.value for r in finished + [partial])
-    assert res.value == 10 and res.witnesses
-    assert res.nodes >= sum(r.nodes for r in finished) + partial.nodes
+    assert res.value == max(r.value for r in finished + [partial]) == 10
+    assert res.witnesses
+    assert res.nodes == sum(r.nodes for r in finished) + partial.nodes
+    assert res.nodes == budget + 1
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_zarankiewicz_budget_boundary(n):
+    """One budget covers every part split of z(n): a budget of exactly the
+    nodes a full run takes completes it with the same result; one node less
+    raises, having spent at most one node over the budget."""
+    full = zarankiewicz_number(n, C4, order_seed=1)
+    exact = zarankiewicz_number(n, C4, budget=full.nodes, order_seed=1)
+    assert (exact.value, exact.witnesses, exact.completed, exact.nodes) == (
+        full.value, full.witnesses, True, full.nodes)
+    budget = full.nodes - 1
+    with pytest.raises(BudgetExceeded) as err:
+        zarankiewicz_number(n, C4, budget=budget, order_seed=1)
+    assert err.value.result.nodes <= budget + 1
+    assert f"z({n}; {{C4}})" in str(err.value)
+    assert f"budget of {budget} " in str(err.value)
