@@ -633,10 +633,12 @@ def test_truncated_long_family_z_is_an_honest_lower_bound(order_seed):
         previous = res.value
 
 
-def test_truncated_z_keeps_completed_splits():
+@pytest.mark.parametrize("from_env", [False, True])
+def test_truncated_z_keeps_completed_splits(monkeypatch, from_env):
     """A budget that stops z(10) in split (3, 7) still reports the splits
     finished before it and that split's own partial result. Each split runs
-    on what the earlier splits left of the one budget."""
+    on what the earlier splits left of the one budget, whether that budget
+    is passed in or read from GIRTHLAB_BUDGET."""
     budget = 300
     finished, partial = [], None
     for a in range(1, 6):
@@ -647,8 +649,10 @@ def test_truncated_z_keeps_completed_splits():
             partial = exc.result
             break
     assert len(finished) == 2 and partial is not None
+    if from_env:
+        monkeypatch.setenv("GIRTHLAB_BUDGET", str(budget))
     with pytest.raises(BudgetExceeded) as err:
-        zarankiewicz_number(10, C4, budget=budget)
+        zarankiewicz_number(10, C4, budget=None if from_env else budget)
     res = err.value.result
     assert not res.completed
     assert res.value == max(r.value for r in finished + [partial]) == 10
