@@ -38,15 +38,23 @@ Zarankiewicz search is a row-based branch and bound over neighborhoods of
 the smaller part, under three sound symmetry rules (row sizes
 non-increasing; columns first used by a row take the smallest unused labels
 consecutively; equal-size consecutive rows lexicographically
-non-decreasing) with admissible pruning from the column-pair budget
-(quadrilateral-free case) and the unbalanced Zarankiewicz bound. Cycles are
-cut by fact (c) applied to the new row as the added vertex x: the row keeps
-the family out iff its columns are independent in the conflict graph of the
-rows placed so far. Odd lengths never close a cycle in a bipartite graph.
-For C4 alone the conflicts of column c are the union of the rows that
-contain c, since two columns joined by a path of two edges share a row;
-longer even lengths take the column entries of the conflict masks. A row
-carries the union of its columns' conflicts, so it is cut as soon as it
+non-decreasing). Its one bound is the size prune: row sizes never increase,
+so when r rows are left, a next row of size s leaves room for at most r*s
+edges, and a size that cannot reach the running best is skipped. A cap from
+the unbalanced Zarankiewicz bound U >= z(a, b; F) would cut nothing. With
+best the edge count of a configuration already found, edges + min(x, U -
+edges) < best holds exactly when edges + x < best or U < best, and best <=
+z(a, b; F) <= U. Were the bound false, the cap could only make the result
+wrong, so the bound checks results instead (verify_upper_bounds). Cycles
+are cut by fact (c) applied to the new row as the added vertex x: the row
+keeps the family out iff its columns are independent in the conflict graph
+of the rows placed so far. Odd lengths never close a cycle in a bipartite
+graph, so a family without even lengths has no conflicts and the search
+finds K_{a,b}; a part of size 0 leaves no rows, and the root records the
+empty graph. For C4 alone the conflicts of column c are the union of the
+rows that contain c, since two columns joined by a path of two edges share
+a row; longer even lengths take the column entries of the conflict masks. A
+row carries the union of its columns' conflicts, so it is cut as soon as it
 takes a conflicting column. The search keeps the raw row configurations
 tied at the running best and labels them only once it ends (completed or
 budget-truncated), since almost all ties are overtaken by a larger
@@ -65,7 +73,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .budgets import search_budget
 from .canonical import canonical_graph, canonical_labeling
@@ -323,38 +330,26 @@ class _TuranSearch:
         return list(classes.values())
 
 
-def _self_labeled(G: Graph) -> tuple:
-    return G, canonical_labeling(G)[1]
-
-
 def _result(kind, instance, family, search, n_vertices, t0, completed):
     """The result a search reached: exact when it completed, a lower bound
     when its budget stopped it. Before the search records anything, the
     empty graph certifies the value 0."""
     if search.best < 0:
-        value, witnesses = 0, [_self_labeled(Graph(n_vertices))]
+        empty = Graph(n_vertices)
+        value, labeled = 0, [(empty, canonical_labeling(empty)[1])]
     else:
-        value, witnesses = search.best, search.labeled_witnesses()
-    return _finish(kind, instance, family, value, witnesses, search.nodes, t0,
-                   completed=completed,
-                   note="" if completed else "budget-truncated")
-
-
-def _finish(kind, instance, family, value, labeled_witnesses, nodes, t0,
-            completed, note=""):
-    """Result from (graph, canonical labeling) witness pairs."""
-    encs = sorted(graph6_encode(relabel(G, perm))
-                  for G, perm in labeled_witnesses)
+        value, labeled = search.best, search.labeled_witnesses()
     return SearchResult(
         kind=kind,
         instance=instance,
         family=family,
         value=value,
-        witnesses=tuple(encs),
-        nodes=nodes,
+        witnesses=tuple(sorted(graph6_encode(relabel(G, perm))
+                               for G, perm in labeled)),
+        nodes=search.nodes,
         wall_time=time.monotonic() - t0,
         completed=completed,
-        note=note,
+        note="" if completed else "budget-truncated",
     )
 
 
@@ -379,25 +374,6 @@ def turan_number(n: int, family: FamilySpec, budget=None,
     return _result("turan", (n,), family, search, n, t0, completed=True)
 
 
-@lru_cache(maxsize=None)
-def _pair_budget_ub(rows_left: int, pairs_left: int, size_cap: int) -> int:
-    """Max total size of `rows_left` rows with sizes <= size_cap and total
-    column-pair usage sum C(s,2) <= pairs_left."""
-    if rows_left == 0 or size_cap == 0:
-        return 0
-    best = 0
-    for s in range(size_cap, -1, -1):
-        cost = s * (s - 1) // 2
-        if cost > pairs_left:
-            continue
-        cand = s + _pair_budget_ub(rows_left - 1, pairs_left - cost, s)
-        if cand > best:
-            best = cand
-        if cand == s * rows_left:
-            break
-    return best
-
-
 def _column_key(rows, cols_n: int) -> tuple:
     """The sorted column masks of a row configuration: bit i of column c's
     mask is set when row i contains c. Configurations with equal keys differ
@@ -419,18 +395,10 @@ class _ZarankiewiczSearch:
         self.cols_n = max(a, b)
         self.family = family
         self.even = family.even_lengths
-        self.has_c4 = 4 in family.lengths
         self.limit = limit
         self.nodes = 0
         self.best = -1
         self.order_seed = order_seed
-        ell = family.even_run_ell()
-        if ell is not None:
-            self.total_cap = int(
-                (a * b) ** (0.5 + 0.5 / ell) + max(a, b) + FLOAT_SLACK
-            )
-        else:
-            self.total_cap = a * b
         self.rows = []
         self.tied = set()
 
@@ -438,13 +406,6 @@ class _ZarankiewiczSearch:
         return BudgetExceeded(
             f"row search z({self.a}, {self.b}; {self.family.describe()}) "
             f"exceeded its budget of {self.limit} search nodes")
-
-    def ub_remaining(self, rows_left, size_cap, pairs_left):
-        if self.has_c4:
-            ub = _pair_budget_ub(rows_left, pairs_left, size_cap)
-        else:
-            ub = rows_left * size_cap
-        return ub
 
     def make_graph(self, rows) -> Graph:
         edges = []
@@ -479,6 +440,9 @@ class _ZarankiewiczSearch:
     def column_conflicts(self) -> list:
         """conf[c]: the columns that may not share the next row with column
         c, as a column bitmask (fact (c) for the new row vertex)."""
+        if not self.even:
+            # odd cycles never embed in a bipartite graph
+            return [0] * self.cols_n
         if self.even == (4,):
             conf = [0] * self.cols_n
             for row in self.rows:
@@ -490,12 +454,11 @@ class _ZarankiewiczSearch:
         return [bits >> shift for bits in
                 _conflicts(self.make_graph(self.rows), self.even)[shift:]]
 
-    def search(self, row_index, used_cols, pairs_left, size_cap, edges_sum,
-               prev_row):
+    def search(self, row_index, used_cols, size_cap, edges_sum, prev_row):
         self.nodes += 1
         if self.nodes > self.limit:
             raise self.over_budget()
-        if row_index == self.rows_n or size_cap == 0:
+        if row_index == self.rows_n:
             self.record()
             return
         rows_left = self.rows_n - row_index
@@ -508,34 +471,24 @@ class _ZarankiewiczSearch:
                 # all remaining rows empty
                 self.record()
                 continue
-            cost = s * (s - 1) // 2
-            if self.has_c4 and cost > pairs_left:
-                continue
-            ub_rest = self.ub_remaining(rows_left - 1, s,
-                                        pairs_left - cost if self.has_c4 else 0)
-            ub = min(s + ub_rest, self.total_cap - edges_sum)
-            if edges_sum + ub < self.best:
+            # row sizes never increase: the rows left hold at most s each
+            if edges_sum + rows_left * s < self.best:
                 continue
             # equal-size rows must come in lex nondecreasing order; every
             # graph keeps a representation (greedy lex-min row order works)
             floor_row = prev_row if prev_row is not None and s == len(prev_row) else None
-            self._enumerate_rows(row_index, used_cols, pairs_left, s,
-                                 edges_sum, [], conf, 0, 0, floor_row, True)
+            self._enumerate_rows(row_index, used_cols, s, edges_sum, [],
+                                 conf, 0, 0, floor_row, True)
 
-    def _enumerate_rows(self, row_index, used_cols, pairs_left, s, edges_sum,
-                        chosen, conf, blocked, fresh, floor_row, tight):
+    def _enumerate_rows(self, row_index, used_cols, s, edges_sum, chosen,
+                        conf, blocked, fresh, floor_row, tight):
         self.nodes += 1
         if self.nodes > self.limit:
             raise self.over_budget()
         if len(chosen) == s:
             row = tuple(chosen)
             self.rows.append(row)
-            cost = s * (s - 1) // 2
-            self.search(row_index + 1,
-                        used_cols + fresh,
-                        pairs_left - cost if self.has_c4 else 0,
-                        s,
-                        edges_sum + s,
+            self.search(row_index + 1, used_cols + fresh, s, edges_sum + s,
                         row)
             self.rows.pop()
             return
@@ -563,8 +516,8 @@ class _ZarankiewiczSearch:
                 continue
             chosen.append(c)
             still_tight = tight and floor_row is not None and c == floor_row[pos]
-            self._enumerate_rows(row_index, used_cols, pairs_left, s,
-                                 edges_sum, chosen, conf, blocked | conf[c],
+            self._enumerate_rows(row_index, used_cols, s, edges_sum, chosen,
+                                 conf, blocked | conf[c],
                                  fresh + (1 if c >= used_cols else 0),
                                  floor_row, still_tight)
             chosen.pop()
@@ -577,21 +530,10 @@ def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
     if a < 0 or b < 0:
         raise ValueError("part sizes must be >= 0")
     t0 = time.monotonic()
-    if a == 0 or b == 0:
-        empty = Graph(a + b)
-        return _finish("zarankiewicz_ab", (a, b), family, 0,
-                       [_self_labeled(empty)], 1, t0, completed=True)
-    if not family.even_lengths:
-        # odd cycles never embed in a bipartite graph
-        full = Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-        return _finish("zarankiewicz_ab", (a, b), family, a * b,
-                       [_self_labeled(full)], 1, t0, completed=True,
-                       note="family has no even cycle; complete bipartite")
-    limit = search_budget(budget)
-    search = _ZarankiewiczSearch(a, b, family, limit, order_seed)
-    pairs_total = search.cols_n * (search.cols_n - 1) // 2
+    search = _ZarankiewiczSearch(a, b, family, search_budget(budget),
+                                 order_seed)
     try:
-        search.search(0, 0, pairs_total, search.cols_n, 0, None)
+        search.search(0, 0, search.cols_n, 0, None)
     except BudgetExceeded as exc:
         exc.result = _result("zarankiewicz_ab", (a, b), family, search,
                              a + b, t0, completed=False)
@@ -611,13 +553,12 @@ def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
     if n < 0:
         raise ValueError("n must be >= 0")
     t0 = time.monotonic()
-    if n <= 1:
-        return _finish("zarankiewicz", (n,), family, 0,
-                       [_self_labeled(Graph(n))], 1, t0, completed=True)
     limit = search_budget(budget)
+    # a split with an empty part is searched only when no other exists
+    splits = range(1, n // 2 + 1) if n > 1 else [0]
     results = []
     try:
-        for a in range(1, n // 2 + 1):
+        for a in splits:
             spent = sum(r.nodes for r in results)
             results.append(zarankiewicz_ab(a, n - a, family,
                                            budget=limit - spent,

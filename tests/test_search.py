@@ -473,17 +473,13 @@ def test_truncated_searches_match_references(monkeypatch, budget):
 
 class _RowCheckedZarankiewicz(search._ZarankiewiczSearch):
     """Reference: the cycle check without conflict masks. Only C4 is cut
-    part-way through a row, by the columns that already share a row; each
-    finished row is checked with contains_cycle for every even length; and
-    the unbalanced bound is off."""
-
-    def __init__(self, a, b, family, limit, order_seed):
-        super().__init__(a, b, family, limit, order_seed)
-        self.total_cap = a * b
+    part-way through a row, by the columns that already share a row, and
+    each finished row is checked with contains_cycle for every even
+    length."""
 
     def column_conflicts(self):
         conf = [0] * self.cols_n
-        if self.has_c4:
+        if 4 in self.family.lengths:
             for row in self.rows:
                 for c, d in itertools.permutations(row, 2):
                     conf[c] |= 1 << d
@@ -497,8 +493,8 @@ class _RowCheckedZarankiewicz(search._ZarankiewiczSearch):
 
 
 SMALL_AB = [(a, b) for a in range(1, 31) for b in range(a, 31) if a * b <= 30]
-# without C4 the reference has no pair budget and no cut before a row is
-# finished: z(3, 9; {C6}) takes it about 200,000 nodes, z(3, 10) 850,000
+# without C4 the reference has no cut before a row is finished:
+# z(3, 9; {C6}) takes it about 200,000 nodes, z(3, 10) 850,000
 C6_AB = [ab for ab in SMALL_AB if ab not in ((3, 9), (3, 10))]
 
 
@@ -510,10 +506,10 @@ C6_AB = [ab for ab in SMALL_AB if ab not in ((3, 9), (3, 10))]
                                            ((6,), C6_AB)])
 def test_conflict_masks_match_row_checked_reference(monkeypatch, lengths,
                                                     sizes, order_seed):
-    """The conflict-mask cut and the unbalanced bound find the value and
-    every extremal class that the row-checked reference finds. For C4 the
-    two searches walk the same tree; longer cycles are cut part-way
-    through a row, so the search never takes more nodes."""
+    """The conflict-mask cut finds the value and every extremal class that
+    the row-checked reference finds. For C4 the two searches walk the same
+    tree; longer cycles are cut part-way through a row, so the search never
+    takes more nodes."""
     family = FamilySpec.of(*lengths)
     for a, b in sizes:
         call = functools.partial(zarankiewicz_ab, a, b, family,
@@ -639,7 +635,7 @@ def test_truncated_z_keeps_completed_splits(monkeypatch, from_env):
     finished before it and that split's own partial result. Each split runs
     on what the earlier splits left of the one budget, whether that budget
     is passed in or read from GIRTHLAB_BUDGET."""
-    budget = 300
+    budget = 400
     finished, partial = [], None
     for a in range(1, 6):
         left = budget - sum(r.nodes for r in finished)
@@ -659,6 +655,28 @@ def test_truncated_z_keeps_completed_splits(monkeypatch, from_env):
     assert res.witnesses
     assert res.nodes == sum(r.nodes for r in finished) + partial.nodes
     assert res.nodes == budget + 1
+
+
+@pytest.mark.parametrize("instance,family", [
+    ((0, 5), C4), ((3, 0), C4), ((3, 4), FamilySpec.of(3, 5)),
+    ((5, 5), C3), ((6,), FamilySpec.of(3, 5)), ((1,), C4)])
+def test_budget_covers_trivial_z_instances(instance, family):
+    """An empty part and a family without even lengths run through the row
+    search like any other instance: budget 0 stops them with the empty
+    graph as the lower bound, and the nodes of a full run complete them
+    with the same result."""
+    call = functools.partial(
+        zarankiewicz_ab if len(instance) == 2 else zarankiewicz_number,
+        *instance, family)
+    full = call()
+    with pytest.raises(BudgetExceeded) as err:
+        call(budget=0)
+    res = err.value.result
+    assert (res.value, res.witnesses, res.completed) == (
+        0, (graph6_encode(Graph(sum(instance))),), False)
+    exact = call(budget=full.nodes)
+    assert (exact.value, exact.witnesses, exact.completed) == (
+        full.value, full.witnesses, True)
 
 
 @pytest.mark.parametrize("n", range(6, 11))
