@@ -53,16 +53,24 @@ graph, so a family without even lengths has no conflicts and the search
 finds K_{a,b}; a part of size 0 leaves no rows, and the root records the
 empty graph. For C4 alone the conflicts of column c are the union of the
 rows that contain c, since two columns joined by a path of two edges share
-a row; longer even lengths take the column entries of the conflict masks. A
-row carries the union of its columns' conflicts, so it is cut as soon as it
-takes a conflicting column. The search keeps the raw row configurations
-tied at the running best and labels them only once it ends (completed or
-budget-truncated), since almost all ties are overtaken by a larger
-configuration. Then it labels one configuration per column class, the
-sorted tuple of column masks (bit i of column c's mask set when row i
-contains c): two configurations with equal keys differ by a permutation of
-the columns with the rows fixed, so their graphs are isomorphic and give
-the same canonical witness.
+a row; longer even lengths take the column entries of the conflict masks.
+With u columns used, a row of size s is I + (u, ..., u+f-1), f = 0, 1, ...,
+with I from _independent_sets(old, conf, s - f) over the used columns old,
+as in the Turán search. These are the rows a walk picking columns upwards
+outside the union of the picked columns' conflicts builds: an unused column
+is in no row, so it has and is in no conflicts; the walk takes no old
+column after a fresh one; conflicts are symmetric; and bit_count() >= size
+drops only walks that run out of columns. A row of the previous row's size
+loses the old columns below that row's first, which drops only lex-smaller
+rows, and is skipped while lex-smaller. Search nodes count the calls to
+search and the rows tried, as the Turán search counts its neighbour sets.
+The search keeps the raw row configurations tied at the running best and
+labels them only once it ends (completed or budget-truncated), since almost
+all ties are overtaken by a larger configuration. Then it labels one
+configuration per column class, the sorted tuple of column masks (bit i of
+column c's mask set when row i contains c): two configurations with equal
+keys differ by a permutation of the columns with the rows fixed, so their
+graphs are isomorphic and give the same canonical witness.
 
 Every certificate records whether the search completed; truncated runs are
 lower bounds only and are never reported as exact.
@@ -126,14 +134,12 @@ class FamilySpec:
         This is the regime in which the unbalanced Zarankiewicz bound
         (ab)^(1/2 + 1/(2*ell)) + max(a, b) applies.
         """
+        if 4 not in self.lengths:
+            return None
         ell = 2
         while 2 * (ell + 1) in self.lengths:
             ell += 1
-        if 4 not in self.lengths:
-            return None
-        while ell > 2 and not (ell == 2 or ell % 2 == 1):
-            ell -= 1
-        return ell
+        return ell - 1 if ell > 2 and ell % 2 == 0 else ell
 
     def describe(self) -> str:
         return "{" + ", ".join(f"C{x}" for x in sorted(self.lengths)) + "}"
@@ -175,17 +181,17 @@ class SearchResult:
         )
 
 
-def _conflicts(P: Graph, lengths) -> list:
-    """conflicts[u]: the vertices of P that a path of L - 2 edges joins to
-    u, for some L in lengths. A new vertex adjacent to u and v closes a C_L
-    exactly when such a path joins them."""
+def _conflicts(P: Graph, lengths, starts) -> list:
+    """For each u in starts, the vertices of P that a path of L - 2 edges
+    joins to u, for some L in lengths. A new vertex adjacent to u and v
+    closes a C_L exactly when such a path joins them."""
     wanted = 0
     for length in lengths:
         wanted |= 1 << (length - 2)
     deepest = max(lengths) - 2
     bits = P.bits
     out = []
-    for u in range(P.n):
+    for u in starts:
         acc = 0
         stack = [(u, 1 << u, 0)]
         while stack:
@@ -289,7 +295,7 @@ class _TuranSearch:
             XorShift64Star(self.order_seed + k).shuffle(parents)
         for P in parents:
             deg = P.degrees()
-            conflicts = _conflicts(P, self.family.lengths)
+            conflicts = _conflicts(P, self.family.lengths, range(P.n))
             for d in range(max(0, threshold - P.m), min(ceiling - P.m, k)):
                 for neighbours in _neighbour_sets(deg, conflicts, d):
                     self.add(level, P, neighbours)
@@ -452,18 +458,21 @@ class _ZarankiewiczSearch:
             return conf
         shift = self.rows_n
         return [bits >> shift for bits in
-                _conflicts(self.make_graph(self.rows), self.even)[shift:]]
+                _conflicts(self.make_graph(self.rows), self.even,
+                           range(shift, shift + self.cols_n))]
 
-    def search(self, row_index, used_cols, size_cap, edges_sum, prev_row):
+    def search(self, used_cols, edges):
         self.nodes += 1
         if self.nodes > self.limit:
             raise self.over_budget()
+        row_index = len(self.rows)
         if row_index == self.rows_n:
             self.record()
             return
         rows_left = self.rows_n - row_index
+        prev = self.rows[-1] if self.rows else None
         conf = self.column_conflicts()
-        sizes = list(range(size_cap, -1, -1))
+        sizes = list(range(len(prev) if prev else self.cols_n, -1, -1))
         if self.order_seed is not None:
             XorShift64Star(self.order_seed + row_index).shuffle(sizes)
         for s in sizes:
@@ -472,55 +481,26 @@ class _ZarankiewiczSearch:
                 self.record()
                 continue
             # row sizes never increase: the rows left hold at most s each
-            if edges_sum + rows_left * s < self.best:
+            if edges + rows_left * s < self.best:
                 continue
             # equal-size rows must come in lex nondecreasing order; every
             # graph keeps a representation (greedy lex-min row order works)
-            floor_row = prev_row if prev_row is not None and s == len(prev_row) else None
-            self._enumerate_rows(row_index, used_cols, s, edges_sum, [],
-                                 conf, 0, 0, floor_row, True)
-
-    def _enumerate_rows(self, row_index, used_cols, s, edges_sum, chosen,
-                        conf, blocked, fresh, floor_row, tight):
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise self.over_budget()
-        if len(chosen) == s:
-            row = tuple(chosen)
-            self.rows.append(row)
-            self.search(row_index + 1, used_cols + fresh, s, edges_sum + s,
-                        row)
-            self.rows.pop()
-            return
-        need = s - len(chosen)
-        pos = len(chosen)
-        last = chosen[-1] if chosen else -1
-        lo = last + 1
-        if tight and floor_row is not None:
-            lo = max(lo, floor_row[pos])
-        # old columns: any still-unpicked label < used_cols; fresh columns:
-        # exactly used_cols+fresh, used_cols+fresh+1, ... in order
-        candidates = list(range(lo, used_cols))
-        fresh_cand = used_cols + fresh
-        if fresh_cand < self.cols_n and fresh_cand >= lo:
-            candidates.append(fresh_cand)
-        for c in candidates:
-            # room left: columns above c (old) plus fresh supply
-            if c < used_cols:
-                room = (used_cols - c - 1) + (self.cols_n - used_cols - fresh)
-            else:
-                room = self.cols_n - c - 1
-            if room < need - 1:
-                continue
-            if blocked >> c & 1:
-                continue
-            chosen.append(c)
-            still_tight = tight and floor_row is not None and c == floor_row[pos]
-            self._enumerate_rows(row_index, used_cols, s, edges_sum, chosen,
-                                 conf, blocked | conf[c],
-                                 fresh + (1 if c >= used_cols else 0),
-                                 floor_row, still_tight)
-            chosen.pop()
+            tied = prev is not None and s == len(prev)
+            floor = prev[0] if tied else 0
+            old = (1 << used_cols) - (1 << floor)
+            for f in range(min(s, self.cols_n - used_cols) + 1):
+                fresh = tuple(range(used_cols, used_cols + f))
+                for chosen in _independent_sets(old, conf, s - f):
+                    row = tuple(c for c in range(used_cols)
+                                if chosen >> c & 1) + fresh
+                    if tied and row < prev:
+                        continue
+                    self.nodes += 1
+                    if self.nodes > self.limit:
+                        raise self.over_budget()
+                    self.rows.append(row)
+                    self.search(used_cols + f, edges + s)
+                    self.rows.pop()
 
 
 def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
@@ -533,7 +513,7 @@ def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
     search = _ZarankiewiczSearch(a, b, family, search_budget(budget),
                                  order_seed)
     try:
-        search.search(0, 0, search.cols_n, 0, None)
+        search.search(0, 0)
     except BudgetExceeded as exc:
         exc.result = _result("zarankiewicz_ab", (a, b), family, search,
                              a + b, t0, completed=False)

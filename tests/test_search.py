@@ -20,6 +20,7 @@ from girthlab.canonical import (
 from girthlab.errors import BudgetExceeded, UnsupportedInstance
 from girthlab.formats import graph6_decode, graph6_encode
 from girthlab.graph import Graph, contains_cycle, is_family_free, relabel
+from girthlab.rng import XorShift64Star
 from girthlab.search import (
     FamilySpec,
     SearchResult,
@@ -89,6 +90,9 @@ class TestFamilySpec:
         assert FamilySpec.even_cycles(2).even_run_ell() == 2
         assert FamilySpec.even_cycles(3).even_run_ell() == 3
         assert FamilySpec.of(6).even_run_ell() is None
+        assert FamilySpec.of(4, 6, 8).even_run_ell() == 3
+        assert FamilySpec.of(4, 8).even_run_ell() == 2
+        assert FamilySpec.of(4, 6, 8, 10).even_run_ell() == 5
 
 
 class TestTuran:
@@ -485,11 +489,11 @@ class _RowCheckedZarankiewicz(search._ZarankiewiczSearch):
                     conf[c] |= 1 << d
         return conf
 
-    def search(self, row_index, *args):
+    def search(self, *args):
         if self.rows and any(contains_cycle(self.make_graph(self.rows), length)
                              for length in self.even):
             return
-        super().search(row_index, *args)
+        super().search(*args)
 
 
 SMALL_AB = [(a, b) for a in range(1, 31) for b in range(a, 31) if a * b <= 30]
@@ -524,6 +528,93 @@ def test_conflict_masks_match_row_checked_reference(monkeypatch, lengths,
             assert fast[3] == slow[3], (a, b)
         else:
             assert fast[3] <= slow[3], (a, b)
+
+
+class _ColumnWalkZarankiewicz(search._ZarankiewiczSearch):
+    """Reference: each row is built one column at a time, in increasing
+    order, skipping a column in conflict with one already picked or with no
+    room left for the rest of the row, and holding the row at or above the
+    previous row of its size position by position. Fresh columns come after
+    the old ones, as the next unused labels."""
+
+    def search(self, used_cols, edges_sum):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise self.over_budget()
+        row_index = len(self.rows)
+        if row_index == self.rows_n:
+            self.record()
+            return
+        rows_left = self.rows_n - row_index
+        prev_row = self.rows[-1] if self.rows else None
+        conf = self.column_conflicts()
+        sizes = list(range(len(prev_row) if prev_row else self.cols_n, -1, -1))
+        if self.order_seed is not None:
+            XorShift64Star(self.order_seed + row_index).shuffle(sizes)
+        for s in sizes:
+            if s == 0:
+                self.record()
+                continue
+            if edges_sum + rows_left * s < self.best:
+                continue
+            floor_row = prev_row if prev_row and s == len(prev_row) else None
+            self._enumerate_rows(used_cols, s, edges_sum, [], conf, 0, 0,
+                                 floor_row, True)
+
+    def _enumerate_rows(self, used_cols, s, edges_sum, chosen, conf, blocked,
+                        fresh, floor_row, tight):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise self.over_budget()
+        if len(chosen) == s:
+            self.rows.append(tuple(chosen))
+            self.search(used_cols + fresh, edges_sum + s)
+            self.rows.pop()
+            return
+        need = s - len(chosen)
+        pos = len(chosen)
+        lo = chosen[-1] + 1 if chosen else 0
+        if tight and floor_row is not None:
+            lo = max(lo, floor_row[pos])
+        candidates = list(range(lo, used_cols))
+        fresh_cand = used_cols + fresh
+        if lo <= fresh_cand < self.cols_n:
+            candidates.append(fresh_cand)
+        for c in candidates:
+            # room left: columns above c (old) plus fresh supply
+            if c < used_cols:
+                room = (used_cols - c - 1) + (self.cols_n - used_cols - fresh)
+            else:
+                room = self.cols_n - c - 1
+            if room < need - 1 or blocked >> c & 1:
+                continue
+            chosen.append(c)
+            still_tight = (tight and floor_row is not None
+                           and c == floor_row[pos])
+            self._enumerate_rows(used_cols, s, edges_sum, chosen, conf,
+                                 blocked | conf[c],
+                                 fresh + (1 if c >= used_cols else 0),
+                                 floor_row, still_tight)
+            chosen.pop()
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+@pytest.mark.parametrize("lengths", [(4,), (4, 6), (4, 6, 8), (4, 8), (6,)])
+def test_rows_match_column_walk_reference(monkeypatch, lengths, order_seed):
+    """Rows taken from _independent_sets give the value and every extremal
+    class that the column-by-column walk, with its room cut and position-wise
+    lex floor, gives. The two count nodes differently, so nodes are not
+    compared."""
+    family = FamilySpec.of(*lengths)
+    for a, b in SMALL_AB:
+        call = functools.partial(zarankiewicz_ab, a, b, family,
+                                 order_seed=order_seed)
+        fast = _outcome(call)
+        monkeypatch.setattr(search, "_ZarankiewiczSearch",
+                            _ColumnWalkZarankiewicz)
+        walked = _outcome(call)
+        monkeypatch.undo()
+        assert fast[:3] == walked[:3], (a, b)
 
 
 @st.composite
@@ -635,7 +726,8 @@ def test_truncated_z_keeps_completed_splits(monkeypatch, from_env):
     finished before it and that split's own partial result. Each split runs
     on what the earlier splits left of the one budget, whether that budget
     is passed in or read from GIRTHLAB_BUDGET."""
-    budget = 400
+    nodes = [zarankiewicz_ab(a, 10 - a, C4).nodes for a in (1, 2, 3)]
+    budget = nodes[0] + nodes[1] + nodes[2] // 2
     finished, partial = [], None
     for a in range(1, 6):
         left = budget - sum(r.nodes for r in finished)
