@@ -37,7 +37,10 @@ def graph6_encode(G: Graph) -> bytes:
 
 def graph6_decode(data: bytes) -> Graph:
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"graph6 text is not ASCII: {exc}") from exc
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
     data = data.rstrip(b"\r\n")
@@ -82,13 +85,15 @@ def to_edge_json(G: Graph) -> str:
 def from_edge_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes and over-long integers too
         raise ParseError(f"bad JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('edge-list JSON needs keys "n" and "edges"')
     try:
         return Graph(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinite float such as 1e400
         raise ParseError(f"bad edge list: {exc}") from exc
 
 

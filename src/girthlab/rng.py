@@ -63,11 +63,18 @@ class XorShift64Star:
     def sample_mask(self, universe: int) -> int:
         """Bitmask over range(universe); each element kept with prob 1/2.
 
-        One generator call per element, in index order, so masks are stable
-        across implementations.
+        Element i is kept when the i-th generator output is odd, so masks
+        are stable across implementations. The state steps run inline: the
+        output multiplier is odd, so an output's low bit is the state's low
+        bit and needs no multiply.
         """
+        x = self.state
         mask = 0
         for i in range(universe):
-            if self.next_u64() & 1:
+            x ^= x >> 12
+            x = (x ^ (x << 25)) & _MASK
+            x ^= x >> 27
+            if x & 1:
                 mask |= 1 << i
+        self.state = x
         return mask

@@ -72,6 +72,26 @@ column c's mask set when row i contains c): two configurations with equal
 keys differ by a permutation of the columns with the rows fixed, so their
 graphs are isomorphic and give the same canonical witness.
 
+A Zarankiewicz search starts at a floor, a lower bound known with a witness
+before it starts, and still finds the value and every tied configuration:
+best starts at the floor, record keeps every configuration with at least
+best edges, and the size prune skips a size only when full rows would stay
+strictly below best. For r <= c, z(r, c) >= z(r, c-1) + 1 and z(r, r) >=
+z(r-1, r) + 1, because a new vertex joined to one vertex of the other part
+is pendant: it lies on no cycle and adds one edge. So zarankiewicz_ab walks
+the staircase (1, 1), (1, 2), (2, 2), (2, 3), ..., (r, r), ..., (r, c) in a
+loop, each step searched under the step before + 1 with that step's witness
+padded by a pendant vertex; the steps below (r, c) keep one configuration
+and label none. A floor with a witness of its own instance is attained, so
+a search that completes without reaching it has lost a configuration and
+raises. The nodes and the budget cover every step, and a search its budget
+stops reports the best configuration it knows padded to the requested
+parts. An empty part or a family without even lengths gets no floor.
+zarankiewicz_number searches the balanced split first, under its
+staircase, and then the splits towards the most unbalanced, each under the
+best split value so far: a split that finds nothing there is below the
+best and adds no witness.
+
 Every certificate records whether the search completed; truncated runs are
 lower bounds only and are never reported as exact.
 """
@@ -336,15 +356,9 @@ class _TuranSearch:
         return list(classes.values())
 
 
-def _result(kind, instance, family, search, n_vertices, t0, completed):
+def _result(kind, instance, family, value, labeled, nodes, t0, completed):
     """The result a search reached: exact when it completed, a lower bound
-    when its budget stopped it. Before the search records anything, the
-    empty graph certifies the value 0."""
-    if search.best < 0:
-        empty = Graph(n_vertices)
-        value, labeled = 0, [(empty, canonical_labeling(empty)[1])]
-    else:
-        value, labeled = search.best, search.labeled_witnesses()
+    when its budget stopped it."""
     return SearchResult(
         kind=kind,
         instance=instance,
@@ -352,11 +366,20 @@ def _result(kind, instance, family, search, n_vertices, t0, completed):
         value=value,
         witnesses=tuple(sorted(graph6_encode(relabel(G, perm))
                                for G, perm in labeled)),
-        nodes=search.nodes,
+        nodes=nodes,
         wall_time=time.monotonic() - t0,
         completed=completed,
         note="" if completed else "budget-truncated",
     )
+
+
+def _reached(search, n_vertices) -> tuple:
+    """The value and labeled witnesses a search has recorded. Before it
+    records anything, the empty graph certifies the value 0."""
+    if search.best < 0:
+        empty = Graph(n_vertices)
+        return 0, [(empty, canonical_labeling(empty)[1])]
+    return search.best, search.labeled_witnesses()
 
 
 def turan_number(n: int, family: FamilySpec, budget=None,
@@ -374,10 +397,11 @@ def turan_number(n: int, family: FamilySpec, budget=None,
     try:
         search.run()
     except BudgetExceeded as exc:
-        exc.result = _result("turan", (n,), family, search, n, t0,
-                             completed=False)
+        exc.result = _result("turan", (n,), family, *_reached(search, n),
+                             search.nodes, t0, completed=False)
         raise
-    return _result("turan", (n,), family, search, n, t0, completed=True)
+    return _result("turan", (n,), family, *_reached(search, n),
+                   search.nodes, t0, completed=True)
 
 
 def _column_key(rows, cols_n: int) -> tuple:
@@ -391,10 +415,39 @@ def _column_key(rows, cols_n: int) -> tuple:
     return tuple(sorted(masks))
 
 
-class _ZarankiewiczSearch:
-    """Branch and bound over rows (neighborhood sets of the smaller part)."""
+def _rows_graph(rows, rows_n: int, cols_n: int) -> Graph:
+    """The bipartite graph of a row configuration: rows are vertices
+    0..rows_n-1, column c is vertex rows_n + c."""
+    return Graph(rows_n + cols_n,
+                 [(i, rows_n + c) for i, row in enumerate(rows) for c in row])
 
-    def __init__(self, a, b, family, limit, order_seed):
+
+def _pad_rows(rows, cols: int, rows_n: int, cols_n: int) -> tuple:
+    """A configuration over cols columns, padded to rows_n rows over cols_n
+    columns by pendant vertices: each new row joins column 0 and each new
+    column joins row 0. A pendant vertex lies on no cycle and adds one
+    edge."""
+    rows = list(rows) + [(0,)] * (rows_n - len(rows))
+    rows[0] += tuple(range(cols, cols_n))
+    return tuple(rows)
+
+
+def _staircase(r: int, c: int) -> list:
+    """The instances (1, 1), (1, 2), (2, 2), (2, 3), ..., (r, r), (r, r+1),
+    ..., (r, c) for 1 <= r <= c, each one vertex larger than the one
+    before."""
+    return ([(k // 2, (k + 1) // 2) for k in range(2, 2 * r + 1)]
+            + [(r, d) for d in range(r + 1, c + 1)])
+
+
+class _ZarankiewiczSearch:
+    """Branch and bound over rows (neighborhood sets of the smaller part).
+
+    ``floor`` is a lower bound known before the search starts: its value and
+    a witness configuration of this instance, or None for a value that
+    another instance attains. The search starts with best at the floor."""
+
+    def __init__(self, a, b, family, limit, order_seed, floor=(-1, None)):
         self.a, self.b = a, b
         # rows = smaller part
         self.rows_n = min(a, b)
@@ -403,7 +456,7 @@ class _ZarankiewiczSearch:
         self.even = family.even_lengths
         self.limit = limit
         self.nodes = 0
-        self.best = -1
+        self.best, self.floor_witness = floor
         self.order_seed = order_seed
         self.rows = []
         self.tied = set()
@@ -413,11 +466,19 @@ class _ZarankiewiczSearch:
             f"row search z({self.a}, {self.b}; {self.family.describe()}) "
             f"exceeded its budget of {self.limit} search nodes")
 
+    def floor_missed(self) -> RuntimeError:
+        return RuntimeError(
+            f"row search z({self.a}, {self.b}; {self.family.describe()}) "
+            f"found nothing at its floor {self.best}, which has a witness "
+            f"of this instance: a cut lost a configuration")
+
     def make_graph(self, rows) -> Graph:
-        edges = []
-        for i, row in enumerate(rows):
-            edges.extend((i, self.rows_n + c) for c in row)
-        return Graph(self.rows_n + self.cols_n, edges)
+        return _rows_graph(rows, self.rows_n, self.cols_n)
+
+    def known_witness(self):
+        """One configuration with the floor's edges or more, known without
+        labeling ties: the floor's witness, or None."""
+        return self.floor_witness
 
     def record(self):
         total = sum(len(r) for r in self.rows)
@@ -503,23 +564,100 @@ class _ZarankiewiczSearch:
                     self.rows.pop()
 
 
+class _StaircaseStep(_ZarankiewiczSearch):
+    """A staircase step below the requested instance. Only its value and
+    one witness are needed, so it keeps one configuration at the best value
+    and labels none."""
+
+    witness = None
+
+    def record(self):
+        total = sum(len(r) for r in self.rows)
+        if total > self.best or total == self.best and self.witness is None:
+            self.best = total
+            self.witness = tuple(self.rows)
+
+    def known_witness(self):
+        return self.floor_witness if self.witness is None else self.witness
+
+    def floor_above(self, rows_n: int, cols_n: int) -> tuple:
+        """The floor of the next step, one vertex larger: this value + 1,
+        with this witness padded by a pendant vertex."""
+        if self.witness is None:
+            raise self.floor_missed()
+        return self.best + 1, _pad_rows(self.witness, self.cols_n, rows_n,
+                                        cols_n)
+
+
+def _z_reached(search, r: int, c: int, completed: bool) -> tuple:
+    """The value and labeled witnesses of z(r, c), r <= c, that a row
+    search of it, or of a staircase step below it, has reached. The search
+    of (r, c) gives its tied configurations; failing those, a configuration
+    the running search knows (a step's record, or a floor's witness),
+    padded to (r, c), bounds z(r, c) below. A search that completes without
+    reaching a floor with a witness of its own instance has lost a
+    configuration."""
+    labeled = search.labeled_witnesses()
+    if labeled:
+        return search.best, labeled
+    rows = search.known_witness()
+    if rows is None:
+        # nothing recorded, and no floor or one that another split attains
+        return _reached(search, r + c)
+    if completed:
+        raise search.floor_missed()
+    G = _rows_graph(_pad_rows(rows, search.cols_n, r, c), r, c)
+    return G.m, [(G, canonical_labeling(G)[1])]
+
+
+def _zarankiewicz(a, b, family, limit, order_seed, floor=None):
+    """z(a, b) by the row search, within limit nodes. Without a floor it
+    walks the staircase up to (a, b), each step searched under the one
+    before it + 1, and searches (a, b) under the last step + 1. A floor
+    (value, None) is the value of another split; when nothing reaches it
+    the result holds that value and no witness."""
+    t0 = time.monotonic()
+    r, c = sorted((a, b))
+    shapes = []
+    if floor is None:
+        floor = (-1, None)
+        # an empty part or a family without even lengths needs no floor
+        if r and family.even_lengths:
+            shapes = _staircase(r, c)
+    spent = 0
+    try:
+        for (rows_n, cols_n), above in zip(shapes, shapes[1:]):
+            search = _StaircaseStep(rows_n, cols_n, family, limit - spent,
+                                    order_seed, floor)
+            search.search(0, 0)
+            spent += search.nodes
+            floor = search.floor_above(*above)
+        search = _ZarankiewiczSearch(a, b, family, limit - spent, order_seed,
+                                     floor)
+        search.search(0, 0)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(
+            f"row search z({a}, {b}; {family.describe()}) exceeded its "
+            f"budget of {limit} search nodes",
+            _result("zarankiewicz_ab", (a, b), family,
+                    *_z_reached(search, r, c, completed=False),
+                    spent + search.nodes, t0, completed=False)) from exc
+    return _result("zarankiewicz_ab", (a, b), family,
+                   *_z_reached(search, r, c, completed=True),
+                   spent + search.nodes, t0, completed=True)
+
+
 def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
                     order_seed=None) -> SearchResult:
     """Exact maximum edges of a family-free bipartite graph with parts of
-    sizes a and b."""
+    sizes a and b.
+
+    One node budget covers the whole staircase below (a, b); BudgetExceeded
+    carries the best lower bound with a witness reached so far.
+    """
     if a < 0 or b < 0:
         raise ValueError("part sizes must be >= 0")
-    t0 = time.monotonic()
-    search = _ZarankiewiczSearch(a, b, family, search_budget(budget),
-                                 order_seed)
-    try:
-        search.search(0, 0)
-    except BudgetExceeded as exc:
-        exc.result = _result("zarankiewicz_ab", (a, b), family, search,
-                             a + b, t0, completed=False)
-        raise
-    return _result("zarankiewicz_ab", (a, b), family, search, a + b, t0,
-                   completed=True)
+    return _zarankiewicz(a, b, family, search_budget(budget), order_seed)
 
 
 def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
@@ -528,21 +666,23 @@ def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
     maximized over all part splits a + b = n.
 
     One node budget covers all the splits: each split gets what the earlier
-    splits left of it.
+    splits left of it. The balanced split is searched first, under its
+    staircase floor, and each later split under the best split value so
+    far: a split that finds nothing there adds no witness.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     t0 = time.monotonic()
     limit = search_budget(budget)
     # a split with an empty part is searched only when no other exists
-    splits = range(1, n // 2 + 1) if n > 1 else [0]
+    splits = range(n // 2, 0, -1) if n > 1 else [0]
     results = []
     try:
         for a in splits:
             spent = sum(r.nodes for r in results)
-            results.append(zarankiewicz_ab(a, n - a, family,
-                                           budget=limit - spent,
-                                           order_seed=order_seed))
+            floor = (max(r.value for r in results), None) if results else None
+            results.append(_zarankiewicz(a, n - a, family, limit - spent,
+                                         order_seed, floor))
     except BudgetExceeded as exc:
         # the completed splits and the failing split's own partial result
         # together bound z(n) from below

@@ -1,3 +1,5 @@
+import json
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,67 @@ def test_edge_json_errors():
         from_edge_json("not json")
     with pytest.raises(ParseError):
         from_edge_json('{"edges": []}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 1e400, "edges": []}', '{"n": 3, "edges": [[0, -1e400]]}',
+    '{"n": 3, "edges": [[0, NaN]]}', "[" * 100_000, b'{"n": \xff}',
+    '{"n": 1' + "0" * 5000 + ', "edges": []}'])
+def test_edge_json_errors_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        from_edge_json(text)
+
+
+def test_non_ascii_graph6_text_is_a_parse_error():
+    with pytest.raises(ParseError):
+        graph6_decode("\u00e9")
+
+
+def _fails_cleanly(parse, data):
+    """A parser returns a graph or raises ParseError or Unsupported;
+    anything else escaping it is a crash."""
+    try:
+        assert isinstance(parse(data), Graph)
+    except (ParseError, Unsupported):
+        pass
+
+
+@given(st.one_of(st.binary(max_size=40), st.text(max_size=40),
+                 st.builds(lambda g, tail: graph6_encode(g) + tail,
+                           graphs(max_n=12), st.binary(max_size=3))))
+@settings(max_examples=400, deadline=None)
+def test_graph6_decode_fuzz(data):
+    _fails_cleanly(graph6_decode, data)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+# n stays small whatever int() makes of it: a large n is a valid request
+# for a large graph
+_bounded_n = st.one_of(
+    st.integers(-3, 40), st.floats(max_value=40),
+    st.sampled_from([float("inf"), float("-inf")]), st.text(max_size=1),
+    st.none(), st.booleans(), st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+
+
+@given(st.one_of(
+    st.text(max_size=60),
+    st.builds(json.dumps, st.fixed_dictionaries(
+        {"n": _bounded_n,
+         "edges": st.one_of(
+             st.lists(st.lists(st.one_of(st.integers(-2, 45), st.floats(),
+                                         st.text(max_size=3)),
+                               max_size=3), max_size=6),
+             _json_values)}))))
+@settings(max_examples=400, deadline=None)
+def test_from_edge_json_fuzz(text):
+    _fails_cleanly(from_edge_json, text)
 
 
 def test_dot_output():

@@ -35,9 +35,16 @@ def test_shuffle_is_permutation():
 
 
 def test_sample_mask_bit_per_element():
-    rng = XorShift64Star(17)
-    mask = rng.sample_mask(64)
-    assert 0 <= mask < 1 << 64
+    """Bit i of the mask is the low bit of the i-th generator output, and
+    the generator ends where one next_u64() call per element leaves it."""
+    for seed in (0, 17, (1 << 64) - 1):
+        for universe in (0, 1, 63, 64, 65, 200):
+            rng, twin = XorShift64Star(seed), XorShift64Star(seed)
+            mask = rng.sample_mask(universe)
+            assert mask == sum((twin.next_u64() & 1) << i
+                               for i in range(universe)), (seed, universe)
+            assert rng.state == twin.state
+            assert rng.next_u64() == twin.next_u64()
 
 
 def test_corpora_reproducible():

@@ -6,6 +6,7 @@ and shortcuts of the production searches."""
 
 import functools
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -617,6 +618,60 @@ def test_rows_match_column_walk_reference(monkeypatch, lengths, order_seed):
         assert fast[:3] == walked[:3], (a, b)
 
 
+def _unfloored(a, b, family, order_seed):
+    """z(a, b) by the row search with its floor off, as the public calls
+    build their results."""
+    t0 = time.monotonic()
+    run = search._ZarankiewiczSearch(a, b, family, 10**9, order_seed)
+    run.search(0, 0)
+    return search._result("zarankiewicz_ab", (a, b), family,
+                          *search._reached(run, a + b), run.nodes, t0, True)
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+@pytest.mark.parametrize("lengths", [(4,), (4, 6), (4, 6, 8), (4, 8), (6,)])
+def test_floors_match_unfloored_search(lengths, order_seed):
+    """The staircase floor z(a, b - 1) + 1 and the best-split floor of z(n)
+    leave the value, every extremal class and completeness as the search
+    without a floor finds them: the size prune is strict, so configurations
+    tying the floor are still recorded."""
+    family = FamilySpec.of(*lengths)
+    for a, b in SMALL_AB:
+        res = zarankiewicz_ab(a, b, family, order_seed=order_seed)
+        ref = _unfloored(a, b, family, order_seed)
+        assert (res.value, res.witnesses, res.completed) == (
+            ref.value, ref.witnesses, True), (a, b)
+    if lengths not in ((4,), (4, 6)):
+        return
+    for n in range(13):
+        res = zarankiewicz_number(n, family, order_seed=order_seed)
+        splits = [_unfloored(a, n - a, family, order_seed)
+                  for a in (range(1, n // 2 + 1) if n > 1 else [0])]
+        ref = search._merge_splits(n, family, splits, 0.0, completed=True)
+        assert (res.value, res.witnesses, res.completed) == (
+            ref.value, ref.witnesses, True), n
+
+
+@pytest.mark.parametrize("name", ["_StaircaseStep", "_ZarankiewiczSearch"])
+def test_floor_above_the_value_raises(monkeypatch, name):
+    """A floor with a witness of its own instance bounds it below, so a
+    search that finds nothing there has lost a configuration. Given z + 1
+    as such a floor, a staircase step and the search of the requested
+    instance raise instead of reporting less."""
+    exact = {shape: zarankiewicz_ab(*shape, C4).value
+             for shape in search._staircase(3, 4)}
+
+    class AboveTheValue(getattr(search, name)):
+        def __init__(self, a, b, family, limit, order_seed, floor=(-1, None)):
+            witness = floor[1] or ((0,),)
+            super().__init__(a, b, family, limit, order_seed,
+                             (exact[min(a, b), max(a, b)] + 1, witness))
+
+    monkeypatch.setattr(search, name, AboveTheValue)
+    with pytest.raises(RuntimeError, match="found nothing at its floor"):
+        zarankiewicz_ab(3, 4, C4)
+
+
 @st.composite
 def configuration_and_column_permutation(draw):
     cols = draw(st.integers(1, 8))
@@ -723,16 +778,23 @@ def test_truncated_long_family_z_is_an_honest_lower_bound(order_seed):
 @pytest.mark.parametrize("from_env", [False, True])
 def test_truncated_z_keeps_completed_splits(monkeypatch, from_env):
     """A budget that stops z(10) in split (3, 7) still reports the splits
-    finished before it and that split's own partial result. Each split runs
-    on what the earlier splits left of the one budget, whether that budget
-    is passed in or read from GIRTHLAB_BUDGET."""
-    nodes = [zarankiewicz_ab(a, 10 - a, C4).nodes for a in (1, 2, 3)]
-    budget = nodes[0] + nodes[1] + nodes[2] // 2
+    finished before it and that split's own partial result. The balanced
+    split (5, 5) runs first and each later split under the best split value
+    so far, each on what the earlier splits left of the one budget, whether
+    that budget is passed in or read from GIRTHLAB_BUDGET."""
+    def split(a, budget, done):
+        floor = (max(r.value for r in done), None) if done else None
+        return search._zarankiewicz(a, 10 - a, C4, budget, None, floor)
+
+    full = []
+    for a in (5, 4, 3):
+        full.append(split(a, 10**9, full))
+    budget = full[0].nodes + full[1].nodes + full[2].nodes // 2
     finished, partial = [], None
-    for a in range(1, 6):
+    for a in range(5, 0, -1):
         left = budget - sum(r.nodes for r in finished)
         try:
-            finished.append(zarankiewicz_ab(a, 10 - a, C4, budget=left))
+            finished.append(split(a, left, finished))
         except BudgetExceeded as exc:
             partial = exc.result
             break
@@ -743,7 +805,7 @@ def test_truncated_z_keeps_completed_splits(monkeypatch, from_env):
         zarankiewicz_number(10, C4, budget=None if from_env else budget)
     res = err.value.result
     assert not res.completed
-    assert res.value == max(r.value for r in finished + [partial]) == 10
+    assert res.value == max(r.value for r in finished + [partial]) == 12
     assert res.witnesses
     assert res.nodes == sum(r.nodes for r in finished) + partial.nodes
     assert res.nodes == budget + 1
