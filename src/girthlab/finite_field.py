@@ -163,10 +163,6 @@ def ff_inv(F: FieldTable, a: int) -> int:
     return F.inv[a]
 
 
-def ff_sub(F: FieldTable, a: int, b: int) -> int:
-    return F.add[a][F.neg[b]]
-
-
 def ff_dot(F: FieldTable, u: tuple, v: tuple) -> int:
     """Standard bilinear dot product of two coordinate vectors."""
     acc = 0

@@ -13,6 +13,9 @@ import json
 from .errors import ParseError, Unsupported
 from .graph import Graph
 
+# admits W(3,16)'s 8,738 vertices, but no short input asking for gigabytes
+_EDGE_JSON_MAX_N = 1 << 16
+
 
 def graph6_encode(G: Graph) -> bytes:
     if G.n > 62:
@@ -91,7 +94,10 @@ def from_edge_json(text: str) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('edge-list JSON needs keys "n" and "edges"')
     try:
-        return Graph(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
+        n = int(obj["n"])
+        if n > _EDGE_JSON_MAX_N:
+            raise Unsupported(f"edge-list JSON needs n <= {_EDGE_JSON_MAX_N}")
+        return Graph(n, [(int(u), int(v)) for u, v in obj["edges"]])
     except (TypeError, ValueError, OverflowError) as exc:
         # OverflowError: int() of an infinite float such as 1e400
         raise ParseError(f"bad edge list: {exc}") from exc

@@ -3,16 +3,35 @@ BFS layers, girth, bounded exhaustive cycle enumeration, local-switching
 bipartitions, low-degree peeling, and exact chromatic number.
 
 Graphs are immutable after construction. Adjacency is stored both as sorted
-tuples and as per-vertex bitmasks; the bitmasks make the enumeration-heavy
-code paths cheap.
+tuples and as per-vertex bitmasks. Every traversal here runs on the
+bitmasks: one BFS, ``_layers``, yields the distance layers of a vertex as
+masks, and the cycle search is a stack DFS over masks.
+
+Girth. Let L_0, L_1, ... be the BFS layers of a start vertex v. An edge
+inside L_r closes a closed walk of length 2r + 1 along two shortest paths
+from v, and a vertex of L_{r+1} with two neighbours in L_r one of length
+2r + 2. Each such walk uses its last edge once, so it contains a cycle no
+longer than itself. Conversely, distances along a shortest cycle C are
+distances in G (a shortcut would give a shorter cycle), so from a vertex of
+C the cycle shows up in exactly this way at layer (|C| - 1) // 2. The least
+length seen over all starts is therefore the girth, and each start stops
+before the first layer r with 2r + 1 at or above the best length so far.
+
+Cycle search. Every cycle is found exactly once, from its least vertex a:
+as a path over vertices above a, from a's lower neighbour on the cycle to
+its higher one. A path of d edges from a to w closes only into cycles of at
+least d + dist(w) edges, where dist(w) is the BFS distance from a to w
+through vertices above a. So the search extends a path only to vertices w
+with d + dist(w) <= lmax, and this cut loses no cycle of length <= lmax.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 
 from .budgets import cycle_budget
 from .errors import BudgetExceeded, NotBipartite
@@ -129,48 +148,68 @@ def induced_subgraph(G: Graph, vertices) -> tuple:
     return Graph(len(kept), edges), kept
 
 
+def _vertices(mask: int):
+    """The vertices of a bitmask in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _layers(bits, v: int, rmax: int, allowed: int = -1):
+    """BFS layers of v as bitmasks: layer r holds the vertices at distance r
+    from v along paths inside ``allowed``. Yields layers 0..rmax and stops
+    early at the first empty one."""
+    seen = frontier = 1 << v
+    yield frontier
+    for _ in range(rmax):
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= bits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & allowed & ~seen
+        if not frontier:
+            return
+        seen |= frontier
+        yield frontier
+
+
 def neighborhood_layers(G: Graph, v: int, rmax: int) -> list:
     """BFS layers N_0(v)..N_rmax(v) as sorted tuples; layers are disjoint."""
     if not 0 <= v < G.n:
         raise ValueError(f"vertex {v} out of range")
     if rmax < 0:
         raise ValueError("rmax must be >= 0")
-    dist = {v: 0}
-    frontier = [v]
-    layers = [(v,)]
-    for r in range(1, rmax + 1):
-        nxt = []
-        for u in frontier:
-            for w in G.adj[u]:
-                if w not in dist:
-                    dist[w] = r
-                    nxt.append(w)
-        layers.append(tuple(sorted(nxt)))
-        frontier = nxt
-    return layers
+    layers = [tuple(_vertices(mask)) for mask in _layers(G.bits, v, rmax)]
+    return layers + [()] * (rmax + 1 - len(layers))
+
+
+def _parity_layers(G: Graph):
+    """(r % 2, layer r) for the BFS layers of each component, rooted at its
+    least vertex."""
+    unseen = (1 << G.n) - 1
+    while unseen:
+        root = (unseen & -unseen).bit_length() - 1
+        for r, layer in enumerate(_layers(G.bits, root, G.n)):
+            unseen ^= layer
+            yield r & 1, layer
 
 
 def bipartition(G: Graph):
-    """2-coloring by BFS in index order, or None if an odd cycle exists.
+    """2-coloring by BFS layer parity, or None if an odd cycle exists.
 
     Deterministic: components are rooted at their lowest-index vertex, which
-    is colored 0.
+    is colored 0. An edge inside a layer closes an odd cycle.
     """
-    side = [None] * G.n
-    for start in range(G.n):
-        if side[start] is not None:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in G.adj[u]:
-                if side[w] is None:
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-    return tuple(side)
+    bits = G.bits
+    odd = 0
+    for parity, layer in _parity_layers(G):
+        if any(bits[u] & layer for u in _vertices(layer)):
+            return None
+        if parity:
+            odd |= layer
+    return tuple(odd >> v & 1 for v in range(G.n))
 
 
 def is_bipartite(G: Graph) -> bool:
@@ -188,29 +227,28 @@ def as_bipartite(G: Graph) -> BipartiteGraph:
 def girth(G: Graph):
     """Length of a shortest cycle, or INFINITE for forests.
 
-    One BFS per start vertex; a non-tree edge seen at depths d(u), d(w)
-    witnesses a cycle of length d(u)+d(w)+1, and the minimum over all start
-    vertices is exact.
+    Scans the BFS layers of every start vertex for the first layer that
+    closes a cycle; the module docstring says why the least value found is
+    exact.
     """
+    bits = G.bits
     best = INFINITE
-    for start in range(G.n):
-        dist = [-1] * G.n
-        parent = [-1] * G.n
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
+    for v in range(G.n):
+        # layer r closes cycles of 2r + 1 or 2r + 2: scan only 2r + 1 < best
+        rmax = G.n if best == INFINITE else (best - 2) // 2
+        seen = 0
+        for r, layer in enumerate(_layers(bits, v, rmax)):
+            seen |= layer
+            once = twice = 0
+            for u in _vertices(layer):
+                twice |= once & bits[u]
+                once |= bits[u]
+            if once & layer:
+                best = 2 * r + 1
                 break
-            for w in G.adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
+            if twice & ~seen:
+                best = 2 * r + 2
+                break
     return best
 
 
@@ -218,119 +256,64 @@ def diameter(G: Graph):
     """Largest finite BFS eccentricity; INFINITE when disconnected."""
     if G.n == 0:
         return INFINITE
+    everyone = (1 << G.n) - 1
     worst = 0
-    for start in range(G.n):
-        dist = [-1] * G.n
-        dist[start] = 0
-        queue = deque([start])
-        seen = 1
-        far = 0
-        while queue:
-            u = queue.popleft()
-            for w in G.adj[u]:
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    far = dist[w]
-                    seen += 1
-                    queue.append(w)
-        if seen < G.n:
+    for v in range(G.n):
+        reached = 0
+        for far, layer in enumerate(_layers(G.bits, v, G.n)):
+            reached |= layer
+        if reached != everyone:
             return INFINITE
         worst = max(worst, far)
     return worst
 
 
-class _CycleSearch:
-    """Anchored DFS cycle enumeration with a global expansion budget.
+def _cycle_lengths(G: Graph, lengths, limit: int) -> tuple:
+    """The lengths among ``lengths`` of cycles of G, and the path expansions
+    spent: one per unvisited neighbour above a of a path's last vertex. Stops
+    once all are found, or once it has spent more than limit."""
+    wanted = 0
+    for length in lengths:
+        wanted |= 1 << length
+    lmax = wanted.bit_length() - 1
+    bits = G.bits
+    found = set()
+    spent = 0
+    for a in range(G.n):
+        higher = -2 << a
+        ends = bits[a] & higher
+        if not ends:
+            continue
+        # within[d]: the vertices at most d steps from a through vertices
+        # above a; a path d edges long may only go on to within[lmax - d - 1]
+        within = list(accumulate(_layers(bits, a, lmax - 2, higher), or_))
+        within += within[-1:] * (lmax - 1 - len(within))
+        for v1 in _vertices(ends):
+            closing = ends & (-2 << v1)
+            stack = [(v1, 1 << v1, 1)]
+            while stack:
+                v, visited, depth = stack.pop()
+                ahead = bits[v] & higher & ~visited
+                spent += ahead.bit_count()
+                if spent > limit:
+                    return found, spent
+                if ahead & closing and wanted >> (depth + 2) & 1:
+                    found.add(depth + 2)
+                    wanted ^= 1 << (depth + 2)
+                    if not wanted:
+                        return found, spent
+                ahead &= within[lmax - depth - 1]
+                while ahead:
+                    w = ahead.bit_length() - 1
+                    ahead ^= 1 << w
+                    stack.append((w, visited | 1 << w, depth + 1))
+    return found, spent
 
-    Cycles are found from each anchor vertex a over vertices > a, so every
-    cycle is seen exactly where its smallest vertex anchors it. The search
-    prunes with BFS distances back to the anchor, which lower-bound the
-    edges still needed to close a cycle.
-    """
 
-    def __init__(self, G: Graph, lmax: int, budget: int):
-        self.G = G
-        self.lmax = lmax
-        self.budget = budget
-        self.nodes = 0
-        self.found = set()
-        self.targets = None  # optional set of lengths still wanted
-
-    def _anchor_distances(self, a: int, allowed: int) -> list:
-        dist = [-1] * self.G.n
-        dist[a] = 0
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for w in self.G.adj[u]:
-                if dist[w] == -1 and (allowed >> w) & 1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
-    def _wanted(self, length: int) -> bool:
-        if length < 3 or length > self.lmax:
-            return False
-        if length in self.found:
-            return False
-        return self.targets is None or length in self.targets
-
-    def _done(self) -> bool:
-        if self.targets is not None:
-            return self.targets <= self.found
-        return len(self.found) == self.lmax - 2
-
-    def run(self) -> set:
-        G = self.G
-        for a in range(G.n):
-            if self._done():
-                break
-            allowed = ~((1 << (a + 1)) - 1)
-            dist = self._anchor_distances(a, allowed | (1 << a))
-            a_neigh = G.bits[a] & allowed
-            if not a_neigh:
-                continue
-            self._dfs(a, dist, a_neigh)
-        return self.found
-
-    def _dfs(self, a, dist, a_neigh):
-        """Walk all simple paths a -> v1 -> ... over vertices > a; every
-        extension to a neighbor of the anchor closes a cycle."""
-        G = self.G
-        lmax = self.lmax
-        for v1 in G.adj[a]:
-            if v1 < a or self._done():
-                continue
-            visited = 1 << v1
-            path = [v1]
-            iters = [iter(G.adj[v1])]
-            while iters:
-                if self._done():
-                    return
-                try:
-                    w = next(iters[-1])
-                except StopIteration:
-                    iters.pop()
-                    visited &= ~(1 << path.pop())
-                    continue
-                if w <= a or (visited >> w) & 1:
-                    continue
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    raise BudgetExceeded(
-                        f"cycle search up to length {lmax} on a graph with "
-                        f"{G.n} vertices exceeded its budget of "
-                        f"{self.budget} path expansions")
-                depth = len(path)  # edges a..path[-1]; extending to w adds one
-                if (a_neigh >> w) & 1 and v1 < w:
-                    length = depth + 2
-                    if self._wanted(length):
-                        self.found.add(length)
-                # extend only if a cycle of length <= lmax can still close
-                if dist[w] >= 0 and depth + 1 + dist[w] <= lmax:
-                    visited |= 1 << w
-                    path.append(w)
-                    iters.append(iter(G.adj[w]))
+def _over_budget(G: Graph, lmax: int, limit: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"cycle search up to length {lmax} on a graph with {G.n} vertices "
+        f"exceeded its budget of {limit} path expansions")
 
 
 def cycle_spectrum(G: Graph, lmax: int, budget=None) -> frozenset:
@@ -340,25 +323,50 @@ def cycle_spectrum(G: Graph, lmax: int, budget=None) -> frozenset:
     """
     if lmax > 24:
         raise ValueError("lmax > 24 is outside the tractability guard")
-    if lmax < 3 or G.n == 0:
+    lmax = min(lmax, G.n)
+    if lmax < 3:
         return frozenset()
-    search = _CycleSearch(G, min(lmax, G.n), cycle_budget(budget))
-    return frozenset(search.run())
+    limit = cycle_budget(budget)
+    found, spent = _cycle_lengths(G, range(3, lmax + 1), limit)
+    if spent > limit:
+        raise _over_budget(G, lmax, limit)
+    return frozenset(found)
+
+
+def _cycle_test(G: Graph, budget):
+    """has(k): whether G has a cycle of length exactly k. The calls share one
+    budget, and bipartiteness, which rules out odd k, is computed once."""
+    limit = cycle_budget(budget)
+    spent = 0
+    bipartite = None
+
+    def has(k: int) -> bool:
+        nonlocal spent, bipartite
+        if not 3 <= k <= G.n:
+            return False
+        if k % 2 == 1:
+            if bipartite is None:
+                bipartite = is_bipartite(G)
+            if bipartite:
+                return False
+        found, used = _cycle_lengths(G, (k,), limit - spent)
+        spent += used
+        if spent > limit:
+            raise _over_budget(G, k, limit)
+        return bool(found)
+
+    return has
 
 
 def contains_cycle(G: Graph, k: int, budget=None) -> bool:
     """True iff G contains a cycle of length exactly k (early-exit DFS)."""
-    if not 3 <= k <= G.n:
-        return False
-    if k % 2 == 1 and is_bipartite(G):
-        return False
-    search = _CycleSearch(G, k, cycle_budget(budget))
-    search.targets = {k}
-    return k in search.run()
+    return _cycle_test(G, budget)(k)
 
 
 def is_family_free(G: Graph, ell: int, k=None, budget=None) -> bool:
-    """True iff G has no even cycle of length 4..2*ell and no C_k (if given)."""
+    """True iff G has no even cycle of length 4..2*ell and no C_k (if given).
+
+    The searches for the lengths share one budget."""
     if ell < 2:
         raise ValueError("ell must be >= 2")
     lengths = list(range(4, 2 * ell + 1, 2))
@@ -366,10 +374,8 @@ def is_family_free(G: Graph, ell: int, k=None, budget=None) -> bool:
         if k % 2 == 0 or k < 3:
             raise ValueError("k must be an odd cycle length >= 3")
         lengths.append(k)
-    for length in sorted(lengths):
-        if contains_cycle(G, length, budget=budget):
-            return False
-    return True
+    has = _cycle_test(G, budget)
+    return not any(has(length) for length in sorted(lengths))
 
 
 def odd_cycle_run(G: Graph, r: int, s: int, budget=None):
@@ -377,15 +383,13 @@ def odd_cycle_run(G: Graph, r: int, s: int, budget=None):
     lengths of G, or None when no such m exists.
 
     s must be odd, so each run {2m+1, 2m+3, ..., 2m+s} is a run of odd
-    lengths.
+    lengths. The searches for all m share one budget.
     """
     if s % 2 == 0 or s < 1:
         raise ValueError("s must be odd and positive")
+    has = _cycle_test(G, budget)
     for m in range(1, r + 1):
-        if all(
-            contains_cycle(G, length, budget=budget)
-            for length in range(2 * m + 1, 2 * m + s + 1, 2)
-        ):
+        if all(has(length) for length in range(2 * m + 1, 2 * m + s + 1, 2)):
             return m
     return None
 
@@ -399,18 +403,14 @@ def dense_layer_radius(G: Graph, rmax: int, min_average):
     length 2m+1, ..., 2m+s for some m <= r, which ``odd_cycle_run(G, r, s)``
     looks for.
     """
+    bits = G.bits
     best = None
     for v in range(G.n):
-        layers = neighborhood_layers(G, v, rmax)
-        for r in range(1, rmax + 1 if best is None else best):
-            layer = layers[r]
-            if len(layer) < 2:
-                continue
-            mask = 0
-            for u in layer:
-                mask |= 1 << u
-            deg_sum = sum((G.bits[u] & mask).bit_count() for u in layer)
-            if deg_sum >= min_average * len(layer):
+        for r, layer in enumerate(
+                _layers(bits, v, rmax if best is None else best - 1)):
+            size = layer.bit_count()
+            if size > 1 and sum((bits[u] & layer).bit_count() for u in
+                                _vertices(layer)) >= min_average * size:
                 best = r
                 break
         if best == 1:
@@ -427,23 +427,12 @@ def max_bipartite_local(G: Graph) -> BipartiteGraph:
     order. Ties do not move. Returns the bipartite graph of cross edges,
     in which every vertex keeps at least half of its original degree.
     """
-    side = [0] * G.n
-    seen = [False] * G.n
-    for start in range(G.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in G.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-    masks = [0, 0]
-    for v in range(G.n):
-        masks[side[v]] |= 1 << v
+    odd = 0
+    for parity, layer in _parity_layers(G):
+        if parity:
+            odd |= layer
+    side = [odd >> v & 1 for v in range(G.n)]
+    masks = [((1 << G.n) - 1) ^ odd, odd]
     changed = True
     while changed:
         changed = False

@@ -11,7 +11,6 @@ from girthlab.finite_field import (
     ff_make,
     ff_mul,
     ff_neg,
-    ff_sub,
 )
 
 
@@ -145,5 +144,4 @@ def test_zero_inverse():
 
 def test_dot_and_sub():
     F = ff_make(3)
-    assert ff_sub(F, 1, 2) == 2
     assert ff_dot(F, (1, 2, 0), (2, 2, 1)) == 0

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from girthlab import formats
 from girthlab.errors import ParseError, Unsupported
 from girthlab.formats import (
     from_edge_json,
@@ -168,3 +169,11 @@ def test_from_edge_json_fuzz(text):
 def test_dot_output():
     text = to_dot(Graph(3, [(0, 1)]))
     assert "0 -- 1;" in text and "2;" in text
+
+
+def test_edge_json_vertex_cap():
+    cap = formats._EDGE_JSON_MAX_N
+    assert cap >= 8738  # the W(3,16) incidence graph
+    assert from_edge_json(json.dumps({"n": cap, "edges": [[0, 1]]})).n == cap
+    with pytest.raises(Unsupported):
+        from_edge_json(json.dumps({"n": cap + 1, "edges": []}))

@@ -3,11 +3,14 @@ import math
 
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthlab.corpus import dense_corpus
+from girthlab.corpus import dense_corpus, walks_corpus
 from girthlab.errors import BudgetExceeded, NotBipartite
+from girthlab.geometry import (augment_distance_two, gq_w3, incidence_graph,
+                               polarity_graph)
 from girthlab.graph import (
     BipartiteGraph,
     Graph,
@@ -26,6 +29,7 @@ from girthlab.graph import (
     odd_cycle_run,
     peel_min_degree,
 )
+from girthlab.verify import _constructed_set
 
 INF = math.inf
 
@@ -160,6 +164,7 @@ class TestGirthAndCycles:
             if found:
                 expected.add(k)
         assert set(cycle_spectrum(g, max(3, g.n))) == expected
+        assert girth(g) == min(expected, default=INF)
 
 
 def reference_layer_radius(g, rmax, min_average):
@@ -229,8 +234,6 @@ class TestMaxBipartiteLocal:
         assert h.m == 2
 
     def test_half_degree_guarantee_polarity(self):
-        from girthlab.geometry import polarity_graph
-
         g = polarity_graph(3)
         h = max_bipartite_local(g)
         assert h.m >= g.m / 2
@@ -286,8 +289,6 @@ class TestChromatic:
         assert chromatic_number(cycle_graph(7)) == 3
 
     def test_polarity_two_matches_brute_force(self):
-        from girthlab.geometry import polarity_graph
-
         g = polarity_graph(2)
         chi = chromatic_number(g)
         assert not self.brute_force_colorable(g, chi - 1)
@@ -336,3 +337,78 @@ def test_budget_errors_name_instance_and_limit(grotzsch):
     with pytest.raises(BudgetExceeded, match="graph with 11 vertices .* budget "
                                              "of 1 branch-and-bound nodes"):
         chromatic_number(grotzsch, budget=1)
+
+
+# Path expansions of searches that find nothing, so each runs to the end.
+# Budgets are counted in expansions, so these counts must not drift.
+_EXHAUSTIVE_SEARCHES = {
+    "tutte-coxeter C4": (lambda: incidence_graph(gq_w3(2)), 4, 135),
+    "tutte-coxeter C6": (lambda: incidence_graph(gq_w3(2)), 6, 255),
+    "W(3,3) incidence C6": (lambda: incidence_graph(gq_w3(3)), 6, 2400),
+    "polarity q=5 C4": (lambda: polarity_graph(5), 4, 1318),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXHAUSTIVE_SEARCHES))
+def test_exhaustive_search_expansion_counts(name):
+    make, k, count = _EXHAUSTIVE_SEARCHES[name]
+    g = make()
+    assert not contains_cycle(g, k, budget=count)
+    with pytest.raises(BudgetExceeded):
+        contains_cycle(g, k, budget=count - 1)
+
+
+def test_family_free_lengths_share_one_budget(tutte_coxeter):
+    # the C4 and C6 searches expand 135 + 255 paths
+    assert is_family_free(tutte_coxeter, 3, budget=390)
+    with pytest.raises(BudgetExceeded, match="budget of 389 path"):
+        is_family_free(tutte_coxeter, 3, budget=389)
+
+
+def _nx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def _nx_spectrum(g, lmax):
+    return {len(c) for c in nx.simple_cycles(_nx(g), length_bound=lmax)}
+
+
+@pytest.mark.parametrize("name", sorted(_constructed_set()))
+def test_distances_match_networkx_on_constructed_graphs(name):
+    g = _constructed_set()[name]
+    h = _nx(g)
+    assert girth(g) == nx.girth(h)
+    dist = {v: nx.single_source_shortest_path_length(h, v) for v in range(g.n)}
+    assert diameter(g) == max(max(d.values()) for d in dist.values())
+    for v in range(g.n):
+        layers = neighborhood_layers(g, v, 3)
+        assert layers == [tuple(sorted(u for u, r in dist[v].items()
+                                       if r == k)) for k in range(4)]
+    side = bipartition(g)
+    assert (side is not None) == nx.is_bipartite(h)
+    if side is not None:
+        for comp in nx.connected_components(h):
+            root = min(comp)
+            assert all(side[v] == dist[root][v] % 2 for v in comp)
+
+
+@pytest.mark.parametrize("base", ["quadrangle-incidence-q2",
+                                  "quadrangle-incidence-q3",
+                                  "plane-incidence-q2"])
+def test_augmented_spectrum_matches_networkx(base):
+    aug, _ = augment_distance_two(_constructed_set()[base])
+    assert cycle_spectrum(aug, 8) == _nx_spectrum(aug, 8)
+
+
+def test_girth_matches_networkx_on_walks_corpus():
+    for g in walks_corpus(120, 42):
+        assert girth(g) == nx.girth(_nx(g))
+
+
+def test_dense_spectrum_matches_networkx():
+    # networkx lists every cycle, so keep the length bound small here
+    for g in dense_corpus(4, 51):
+        assert cycle_spectrum(g, 5) == _nx_spectrum(g, 5)
