@@ -109,17 +109,18 @@ def bipartite_corpus(count: int, seed: int) -> list:
     return out
 
 
-def near_biregular_corpus(count: int, seed: int, part: int = 40,
-                          degree: int = 16) -> list:
+def near_biregular_corpus(count: int, seed: int) -> list:
     """Nearly regular dense bipartite graphs with degrees in {d-1, d, d+1}.
 
-    Each graph is a union of `degree` random perfect matchings, where a
-    matching that would repeat an existing edge is repaired by swapping two
-    of its pins (smallest indices first); the result is exactly d-regular.
+    Each graph has two parts of 40 vertices and is a union of d = 16 random
+    perfect matchings, where a matching that would repeat an existing edge
+    is repaired by swapping two of its pins (smallest indices first); the
+    result is exactly d-regular.
     One matching edge is then deleted and one absent pair added, so exactly
     four vertices deviate from d by one. Degree variance 4/n with a random
     regular-like spectral gap.
     """
+    part, degree = 40, 16
     rng = XorShift64Star(seed)
     out = []
     for _ in range(count):
@@ -157,13 +158,13 @@ def near_biregular_corpus(count: int, seed: int, part: int = 40,
     return out
 
 
-def small_corpus(count: int, seed: int, n_max: int = 8) -> list:
-    """Tiny random graphs (n 2..n_max, percent 20..80) for brute-force
+def small_corpus(count: int, seed: int) -> list:
+    """Tiny random graphs (n 2..8, percent 20..80) for brute-force
     cross-validation."""
     rng = XorShift64Star(seed)
     out = []
     for _ in range(count):
-        n = 2 + rng.below(n_max - 1)
+        n = 2 + rng.below(7)
         percent = 20 + 10 * rng.below(7)
         out.append(_er_graph(rng, n, percent))
     return out

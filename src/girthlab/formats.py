@@ -103,8 +103,8 @@ def from_edge_json(text: str) -> Graph:
         raise ParseError(f"bad edge list: {exc}") from exc
 
 
-def to_dot(G: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(G: Graph) -> str:
+    lines = ["graph G {"]
     lines.extend(f"  {v};" for v in range(G.n) if not G.adj[v])
     lines.extend(f"  {u} -- {v};" for u, v in G.edges())
     lines.append("}")

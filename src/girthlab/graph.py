@@ -290,6 +290,9 @@ def _cycle_lengths(G: Graph, lengths, limit: int) -> tuple:
         within += within[-1:] * (lmax - 1 - len(within))
         for v1 in _vertices(ends):
             closing = ends & (-2 << v1)
+            if not closing:
+                # a path from a's highest neighbour has no end left to close
+                break
             stack = [(v1, 1 << v1, 1)]
             while stack:
                 v, visited, depth = stack.pop()

@@ -72,25 +72,27 @@ column c's mask set when row i contains c): two configurations with equal
 keys differ by a permutation of the columns with the rows fixed, so their
 graphs are isomorphic and give the same canonical witness.
 
-A Zarankiewicz search starts at a floor, a lower bound known with a witness
-before it starts, and still finds the value and every tied configuration:
-best starts at the floor, record keeps every configuration with at least
-best edges, and the size prune skips a size only when full rows would stay
-strictly below best. For r <= c, z(r, c) >= z(r, c-1) + 1 and z(r, r) >=
-z(r-1, r) + 1, because a new vertex joined to one vertex of the other part
-is pendant: it lies on no cycle and adds one edge. So zarankiewicz_ab walks
-the staircase (1, 1), (1, 2), (2, 2), (2, 3), ..., (r, r), ..., (r, c) in a
-loop, each step searched under the step before + 1 with that step's witness
-padded by a pendant vertex; the steps below (r, c) keep one configuration
-and label none. A floor with a witness of its own instance is attained, so
-a search that completes without reaching it has lost a configuration and
-raises. The nodes and the budget cover every step, and a search its budget
-stops reports the best configuration it knows padded to the requested
-parts. An empty part or a family without even lengths gets no floor.
-zarankiewicz_number searches the balanced split first, under its
-staircase, and then the splits towards the most unbalanced, each under the
-best split value so far: a split that finds nothing there is below the
-best and adds no witness.
+A Zarankiewicz search starts at a floor, a lower bound known before it
+starts, and still finds the value and every tied configuration: best starts
+at the floor, record keeps every configuration with at least best edges,
+and the size prune skips a size only when full rows would stay strictly
+below best. For r <= c, z(r, c) >= z(r, c-1) + 1 and
+z(r, r) >= z(r-1, r) + 1, because a new vertex joined to one vertex of the
+other part is pendant: it lies on no cycle and adds one edge. So
+zarankiewicz_ab walks the staircase (1, 1), (1, 2), (2, 2), (2, 3), ...,
+(r, r), ..., (r, c) in a loop. Every shape, (r, c) included, is the same
+search, under the value of the shape before it + 1, and that shape's first
+tie (the first configuration found at its value), padded by a pendant
+vertex, witnesses the floor; only the ties of (r, c) are labeled. A floor
+with a witness is attained, so a search that completes without reaching it
+has lost a configuration and raises. The nodes and the budget cover every
+shape. A search its budget stops in (r, c) reports the ties it has; stopped
+below, or before it reaches its floor, it reports the first tie it knows
+padded to the requested parts. An empty part or a family without even
+lengths gets no floor. zarankiewicz_number searches the balanced split
+first, under its staircase, and then the splits towards the most
+unbalanced, each under the best split value so far: a split that finds
+nothing there is below the best and adds no witness.
 
 Every certificate records whether the search completed; truncated runs are
 lower bounds only and are never reported as exact.
@@ -443,11 +445,11 @@ def _staircase(r: int, c: int) -> list:
 class _ZarankiewiczSearch:
     """Branch and bound over rows (neighborhood sets of the smaller part).
 
-    ``floor`` is a lower bound known before the search starts: its value and
-    a witness configuration of this instance, or None for a value that
-    another instance attains. The search starts with best at the floor."""
+    ``floor`` is a lower bound on the value known before the search starts,
+    or -1 for none; the search starts with best at the floor. ``tied`` holds
+    the configurations tied at the best value, in the order found."""
 
-    def __init__(self, a, b, family, limit, order_seed, floor=(-1, None)):
+    def __init__(self, a, b, family, limit, order_seed, floor=-1):
         self.a, self.b = a, b
         # rows = smaller part
         self.rows_n = min(a, b)
@@ -456,29 +458,18 @@ class _ZarankiewiczSearch:
         self.even = family.even_lengths
         self.limit = limit
         self.nodes = 0
-        self.best, self.floor_witness = floor
+        self.best = floor
         self.order_seed = order_seed
         self.rows = []
-        self.tied = set()
+        self.tied = {}
 
     def over_budget(self) -> BudgetExceeded:
         return BudgetExceeded(
             f"row search z({self.a}, {self.b}; {self.family.describe()}) "
             f"exceeded its budget of {self.limit} search nodes")
 
-    def floor_missed(self) -> RuntimeError:
-        return RuntimeError(
-            f"row search z({self.a}, {self.b}; {self.family.describe()}) "
-            f"found nothing at its floor {self.best}, which has a witness "
-            f"of this instance: a cut lost a configuration")
-
     def make_graph(self, rows) -> Graph:
         return _rows_graph(rows, self.rows_n, self.cols_n)
-
-    def known_witness(self):
-        """One configuration with the floor's edges or more, known without
-        labeling ties: the floor's witness, or None."""
-        return self.floor_witness
 
     def record(self):
         total = sum(len(r) for r in self.rows)
@@ -486,8 +477,8 @@ class _ZarankiewiczSearch:
             return
         if total > self.best:
             self.best = total
-            self.tied = set()
-        self.tied.add(tuple(self.rows))
+            self.tied = {}
+        self.tied[tuple(self.rows)] = None
 
     def labeled_witnesses(self) -> list:
         """One (graph, canonical labeling) per isomorphism class among the
@@ -564,87 +555,53 @@ class _ZarankiewiczSearch:
                     self.rows.pop()
 
 
-class _StaircaseStep(_ZarankiewiczSearch):
-    """A staircase step below the requested instance. Only its value and
-    one witness are needed, so it keeps one configuration at the best value
-    and labels none."""
-
-    witness = None
-
-    def record(self):
-        total = sum(len(r) for r in self.rows)
-        if total > self.best or total == self.best and self.witness is None:
-            self.best = total
-            self.witness = tuple(self.rows)
-
-    def known_witness(self):
-        return self.floor_witness if self.witness is None else self.witness
-
-    def floor_above(self, rows_n: int, cols_n: int) -> tuple:
-        """The floor of the next step, one vertex larger: this value + 1,
-        with this witness padded by a pendant vertex."""
-        if self.witness is None:
-            raise self.floor_missed()
-        return self.best + 1, _pad_rows(self.witness, self.cols_n, rows_n,
-                                        cols_n)
-
-
-def _z_reached(search, r: int, c: int, completed: bool) -> tuple:
-    """The value and labeled witnesses of z(r, c), r <= c, that a row
-    search of it, or of a staircase step below it, has reached. The search
-    of (r, c) gives its tied configurations; failing those, a configuration
-    the running search knows (a step's record, or a floor's witness),
-    padded to (r, c), bounds z(r, c) below. A search that completes without
-    reaching a floor with a witness of its own instance has lost a
-    configuration."""
-    labeled = search.labeled_witnesses()
-    if labeled:
-        return search.best, labeled
-    rows = search.known_witness()
-    if rows is None:
-        # nothing recorded, and no floor or one that another split attains
-        return _reached(search, r + c)
-    if completed:
-        raise search.floor_missed()
-    G = _rows_graph(_pad_rows(rows, search.cols_n, r, c), r, c)
-    return G.m, [(G, canonical_labeling(G)[1])]
-
-
-def _zarankiewicz(a, b, family, limit, order_seed, floor=None):
+def _zarankiewicz(a, b, family, limit, order_seed, floor=-1):
     """z(a, b) by the row search, within limit nodes. Without a floor it
-    walks the staircase up to (a, b), each step searched under the one
-    before it + 1, and searches (a, b) under the last step + 1. A floor
-    (value, None) is the value of another split; when nothing reaches it
+    walks the staircase up to (a, b): every shape is the same search, under
+    the value of the shape before it + 1, and that shape's first tie, padded
+    by a pendant vertex, witnesses the floor. A floor of 0 or more is the
+    value of another split, with no witness here: when nothing reaches it
     the result holds that value and no witness."""
     t0 = time.monotonic()
     r, c = sorted((a, b))
-    shapes = []
-    if floor is None:
-        floor = (-1, None)
-        # an empty part or a family without even lengths needs no floor
-        if r and family.even_lengths:
-            shapes = _staircase(r, c)
+    shapes = [(a, b)]
+    # an empty part or a family without even lengths needs no floor
+    if floor < 0 and r and family.even_lengths:
+        shapes[:0] = _staircase(r, c)[:-1]
+    witness = None  # (rows, columns) of the last finished shape's first tie
     spent = 0
     try:
-        for (rows_n, cols_n), above in zip(shapes, shapes[1:]):
-            search = _StaircaseStep(rows_n, cols_n, family, limit - spent,
-                                    order_seed, floor)
+        for shape in shapes:
+            search = _ZarankiewiczSearch(*shape, family, limit - spent,
+                                         order_seed, floor)
             search.search(0, 0)
             spent += search.nodes
-            floor = search.floor_above(*above)
-        search = _ZarankiewiczSearch(a, b, family, limit - spent, order_seed,
-                                     floor)
-        search.search(0, 0)
+            if search.tied:
+                witness = next(iter(search.tied)), search.cols_n
+            elif witness:
+                raise RuntimeError(
+                    f"row search z({search.a}, {search.b}; "
+                    f"{family.describe()}) found nothing at its floor "
+                    f"{floor}, which has a witness of this instance: a cut "
+                    f"lost a configuration")
+            floor = search.best + 1
     except BudgetExceeded as exc:
+        final = (search.rows_n, search.cols_n) == (r, c)
+        if search.tied and not final:
+            witness = next(iter(search.tied)), search.cols_n
+        if witness and not (final and search.tied):
+            # the best configuration known, padded to (r, c), bounds z below
+            G = _rows_graph(_pad_rows(*witness, r, c), r, c)
+            reached = G.m, [(G, canonical_labeling(G)[1])]
+        else:
+            reached = _reached(search, a + b)
         raise BudgetExceeded(
             f"row search z({a}, {b}; {family.describe()}) exceeded its "
             f"budget of {limit} search nodes",
-            _result("zarankiewicz_ab", (a, b), family,
-                    *_z_reached(search, r, c, completed=False),
+            _result("zarankiewicz_ab", (a, b), family, *reached,
                     spent + search.nodes, t0, completed=False)) from exc
     return _result("zarankiewicz_ab", (a, b), family,
-                   *_z_reached(search, r, c, completed=True),
-                   spent + search.nodes, t0, completed=True)
+                   *_reached(search, a + b), spent, t0, completed=True)
 
 
 def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
@@ -680,7 +637,7 @@ def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
     try:
         for a in splits:
             spent = sum(r.nodes for r in results)
-            floor = (max(r.value for r in results), None) if results else None
+            floor = max(r.value for r in results) if results else -1
             results.append(_zarankiewicz(a, n - a, family, limit - spent,
                                          order_seed, floor))
     except BudgetExceeded as exc:

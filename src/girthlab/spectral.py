@@ -35,14 +35,15 @@ from .graph import BipartiteGraph, Graph, e_between, is_bipartite
 from .rng import XorShift64Star
 
 BOUND_SLACK = 1e-6
+_JACOBI_TOL = 1e-10
 
 
-def eigenvalues_symmetric(M, tol: float = 1e-10, max_sweeps: int = 100) -> list:
+def eigenvalues_symmetric(M, max_sweeps: int = 100) -> list:
     """All eigenvalues of a symmetric matrix, sorted descending.
 
     Cyclic Jacobi: sweep the strict upper triangle, rotating each (p, q)
     pair to annihilate A[p,q], until the off-diagonal Frobenius norm drops
-    below tol * ||M||_F. Raises NoConvergence after max_sweeps sweeps.
+    below 1e-10 * ||M||_F. Raises NoConvergence after max_sweeps sweeps.
 
     The eigenvalues must stay bit-identical to those of the plain rotation,
     which updates columns p and q and then rows p and q of the full matrix
@@ -71,7 +72,7 @@ def eigenvalues_symmetric(M, tol: float = 1e-10, max_sweeps: int = 100) -> list:
     item = A.item
     for sweep in range(max_sweeps):
         off = math.sqrt(float((A[mask] ** 2).sum()))
-        if off < tol * norm:
+        if off < _JACOBI_TOL * norm:
             return sorted(np.diag(A).tolist(), reverse=True)
         # small threshold for early sweeps avoids stalling on noise entries
         thresh = 0.2 * off / (n * n) if sweep < 3 else 0.0

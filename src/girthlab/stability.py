@@ -107,8 +107,8 @@ def extract_bipartite(G: Graph, ell: int, delta=None, budget=None) -> Extraction
     )
 
 
-def check_degree_outlier_bound(G: Graph, B, eps: float, A=None) -> BoundReport:
-    """In a quadrilateral-free graph, vertices of A with at least
+def check_degree_outlier_bound(G: Graph, B, eps: float) -> BoundReport:
+    """In a quadrilateral-free graph, vertices with at least
     (1+eps)*sqrt(|B|) neighbors in B carry at most 2|B|/eps ordered edge
     endpoints into B.
 
@@ -118,12 +118,12 @@ def check_degree_outlier_bound(G: Graph, B, eps: float, A=None) -> BoundReport:
     if not 0 < eps < math.sqrt(3):
         raise EpsilonOutOfRange("need 0 < eps < sqrt(3)")
     B = set(B)
-    pool = range(G.n) if A is None else set(A)
     b_mask = 0
     for v in B:
         b_mask |= 1 << v
     threshold = (1 + eps) * math.sqrt(len(B))
-    S = [v for v in pool if (G.bits[v] & b_mask).bit_count() >= threshold]
+    S = [v for v in range(G.n)
+         if (G.bits[v] & b_mask).bit_count() >= threshold]
     lhs = e_between(G, S, B)
     rhs = 2 * len(B) / eps
     return BoundReport(

@@ -342,10 +342,10 @@ def test_budget_errors_name_instance_and_limit(grotzsch):
 # Path expansions of searches that find nothing, so each runs to the end.
 # Budgets are counted in expansions, so these counts must not drift.
 _EXHAUSTIVE_SEARCHES = {
-    "tutte-coxeter C4": (lambda: incidence_graph(gq_w3(2)), 4, 135),
-    "tutte-coxeter C6": (lambda: incidence_graph(gq_w3(2)), 6, 255),
-    "W(3,3) incidence C6": (lambda: incidence_graph(gq_w3(3)), 6, 2400),
-    "polarity q=5 C4": (lambda: polarity_graph(5), 4, 1318),
+    "tutte-coxeter C4": (lambda: incidence_graph(gq_w3(2)), 4, 81),
+    "tutte-coxeter C6": (lambda: incidence_graph(gq_w3(2)), 6, 154),
+    "W(3,3) incidence C6": (lambda: incidence_graph(gq_w3(3)), 6, 1718),
+    "polarity q=5 C4": (lambda: polarity_graph(5), 4, 1020),
 }
 
 
@@ -359,10 +359,10 @@ def test_exhaustive_search_expansion_counts(name):
 
 
 def test_family_free_lengths_share_one_budget(tutte_coxeter):
-    # the C4 and C6 searches expand 135 + 255 paths
-    assert is_family_free(tutte_coxeter, 3, budget=390)
-    with pytest.raises(BudgetExceeded, match="budget of 389 path"):
-        is_family_free(tutte_coxeter, 3, budget=389)
+    # the C4 and C6 searches expand 81 + 154 paths
+    assert is_family_free(tutte_coxeter, 3, budget=235)
+    with pytest.raises(BudgetExceeded, match="budget of 234 path"):
+        is_family_free(tutte_coxeter, 3, budget=234)
 
 
 def _nx(g):

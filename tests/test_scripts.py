@@ -1,0 +1,56 @@
+"""Smoke tests of the scripts in scripts/: each runs as its own process,
+exits 0, and prints a few known values."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    env.pop("GIRTHLAB_BUDGET", None)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def rows(stdout):
+    """The lines of a table, each split on whitespace."""
+    return [line.split() for line in stdout.splitlines()]
+
+
+def test_zarankiewicz_table():
+    table = rows(run_script("zarankiewicz_table.py", "--max-side", "4"))
+    assert table[0] == ["forbidden:", "{C4}"]
+    (row,) = [r for r in table if r[:2] == ["4", "4"]]
+    assert row[2] == "9"
+
+
+def test_turan_table():
+    table = rows(run_script("turan_table.py", "--max-n", "6"))
+    (row,) = [r for r in table if r[0] == "6"]
+    # n, then value, nodes, seconds, truncation for each of three columns
+    assert (row[1], row[9]) == ("7", "6")
+    assert (row[4], row[8], row[12]) == ("no", "no", "no")
+
+
+def test_pseudorandomness_trend():
+    out = run_script("pseudorandomness_trend.py", "--samples", "10",
+                     "--orders", "2", "3")
+    table = rows(out)
+    (row,) = [r for r in table if r[:2] == ["2", "14"]]
+    assert row[2] == "1.4142"
+    assert any(r[:2] == ["3", "26"] for r in table)
+
+
+def test_extraction_demo():
+    out = run_script("extraction_demo.py", "--q", "3")
+    assert "polarity graph q=3: n=13 m=24" in out
+    assert "subgraph inherits forbidden-cycle freeness: True" in out

@@ -407,13 +407,12 @@ class _EagerZarankiewicz(search._ZarankiewiczSearch):
         total = sum(len(r) for r in self.rows)
         if total < self.best:
             return
+        if total > self.best:
+            self.classes = {}
+        super().record()
         G = self.make_graph(self.rows)
         key, perm = canonical_labeling(G)
-        if total > self.best:
-            self.best = total
-            self.classes = {key: (G, perm)}
-        else:
-            self.classes.setdefault(key, (G, perm))
+        self.classes.setdefault(key, (G, perm))
 
     def labeled_witnesses(self):
         return list(self.classes.values())
@@ -618,11 +617,11 @@ def test_rows_match_column_walk_reference(monkeypatch, lengths, order_seed):
         assert fast[:3] == walked[:3], (a, b)
 
 
-def _unfloored(a, b, family, order_seed):
+def _unfloored(a, b, family, order_seed, cls=search._ZarankiewiczSearch):
     """z(a, b) by the row search with its floor off, as the public calls
     build their results."""
     t0 = time.monotonic()
-    run = search._ZarankiewiczSearch(a, b, family, 10**9, order_seed)
+    run = cls(a, b, family, 10**9, order_seed)
     run.search(0, 0)
     return search._result("zarankiewicz_ab", (a, b), family,
                           *search._reached(run, a + b), run.nodes, t0, True)
@@ -652,24 +651,55 @@ def test_floors_match_unfloored_search(lengths, order_seed):
             ref.value, ref.witnesses, True), n
 
 
-@pytest.mark.parametrize("name", ["_StaircaseStep", "_ZarankiewiczSearch"])
-def test_floor_above_the_value_raises(monkeypatch, name):
-    """A floor with a witness of its own instance bounds it below, so a
-    search that finds nothing there has lost a configuration. Given z + 1
-    as such a floor, a staircase step and the search of the requested
-    instance raise instead of reporting less."""
-    exact = {shape: zarankiewicz_ab(*shape, C4).value
-             for shape in search._staircase(3, 4)}
+class _UnprunedZarankiewicz(search._ZarankiewiczSearch):
+    """Reference: the size prune edges + rows_left * s < best never fires,
+    since best stays -1 while the search runs. record keeps the running best
+    and its ties, and the root call hands that best back when it ends."""
 
+    running = -1
+
+    def record(self):
+        total = sum(len(r) for r in self.rows)
+        if total > self.running:
+            self.running = total
+            self.tied = {}
+        if total == self.running:
+            self.tied[tuple(self.rows)] = None
+
+    def search(self, used_cols, edges):
+        if self.rows:
+            return super().search(used_cols, edges)
+        self.running, self.best = self.best, -1
+        super().search(used_cols, edges)
+        self.best = self.running
+
+
+@pytest.mark.parametrize("lengths", [(4,), (4, 6), (4, 6, 8, 10)])
+def test_size_prune_matches_unpruned_search(lengths):
+    """The size prune leaves the value and every extremal class as a search
+    without it, unfloored, finds them."""
+    family = FamilySpec.of(*lengths)
+    for a, b in SMALL_AB:
+        res = zarankiewicz_ab(a, b, family)
+        ref = _unfloored(a, b, family, None, _UnprunedZarankiewicz)
+        assert (res.value, res.witnesses) == (ref.value, ref.witnesses), (a, b)
+
+
+@pytest.mark.parametrize("name", ["_ZarankiewiczSearch"])
+def test_floor_above_the_value_raises(monkeypatch, name):
+    """A floor with a witness bounds its shape below, so a search that finds
+    nothing there has lost a configuration. Given 1 above every certified
+    floor, the staircase raises instead of reporting less: at (1, 2) as the
+    requested instance, and at (1, 2) as a step below (3, 4)."""
     class AboveTheValue(getattr(search, name)):
-        def __init__(self, a, b, family, limit, order_seed, floor=(-1, None)):
-            witness = floor[1] or ((0,),)
+        def __init__(self, a, b, family, limit, order_seed, floor=-1):
             super().__init__(a, b, family, limit, order_seed,
-                             (exact[min(a, b), max(a, b)] + 1, witness))
+                             floor + 1 if floor >= 0 else floor)
 
     monkeypatch.setattr(search, name, AboveTheValue)
-    with pytest.raises(RuntimeError, match="found nothing at its floor"):
-        zarankiewicz_ab(3, 4, C4)
+    for a, b in [(1, 2), (3, 4)]:
+        with pytest.raises(RuntimeError, match="found nothing at its floor"):
+            zarankiewicz_ab(a, b, C4)
 
 
 @st.composite
@@ -783,7 +813,7 @@ def test_truncated_z_keeps_completed_splits(monkeypatch, from_env):
     so far, each on what the earlier splits left of the one budget, whether
     that budget is passed in or read from GIRTHLAB_BUDGET."""
     def split(a, budget, done):
-        floor = (max(r.value for r in done), None) if done else None
+        floor = max(r.value for r in done) if done else -1
         return search._zarankiewicz(a, 10 - a, C4, budget, None, floor)
 
     full = []
