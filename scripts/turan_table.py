@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Tabulate exact Turán numbers ex(n; {C4, C5}) and ex(n; {C4, C7}) next to
-the bipartite number z(n; C4), which they approach as n grows.
+"""Tabulate exact Turán numbers ex(n; C_4, ..., C_2ell, C_k) for the odd
+lengths k = 2ell + 1 and 2ell + 3, next to the bipartite number
+z(n; C_4, ..., C_2ell), which they approach as n grows.
 
 Usage:
   python scripts/turan_table.py --max-n 14
+  python scripts/turan_table.py --max-n 12 --ell 3
 
 Each value comes with its search nodes, its seconds and a truncation flag:
 a search that runs out of its node budget (GIRTHLAB_BUDGET) prints its
@@ -16,11 +18,18 @@ import time
 from girthlab.errors import BudgetExceeded
 from girthlab.search import FamilySpec, turan_number, zarankiewicz_number
 
-COLUMNS = (
-    ("ex(n;C4,C5)", turan_number, FamilySpec.of(4, 5)),
-    ("ex(n;C4,C7)", turan_number, FamilySpec.of(4, 7)),
-    ("z(n;C4)", zarankiewicz_number, FamilySpec.of(4)),
-)
+
+def columns(ell):
+    """(name, search, family) of each column of the table."""
+    odd = [FamilySpec.even_cycles_plus_odd(ell, k)
+           for k in (2 * ell + 1, 2 * ell + 3)]
+    even = FamilySpec.even_cycles(ell)
+    return ([(f"ex(n;{_lengths(f)})", turan_number, f) for f in odd]
+            + [(f"z(n;{_lengths(even)})", zarankiewicz_number, even)])
+
+
+def _lengths(family):
+    return ",".join(f"C{x}" for x in sorted(family.lengths))
 
 
 def timed(search, n, family):
@@ -36,17 +45,22 @@ def timed(search, n, family):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-n", type=int, default=14)
+    ap.add_argument("--ell", type=int, default=2,
+                    help="forbid even cycles up to length 2*ell")
     args = ap.parse_args()
 
+    table = [(name, search, family, max(12, len(name)))
+             for name, search, family in columns(args.ell)]
     print(f"{'n':>3}" + "".join(
-        f" {name:>12} {'nodes':>8} {'sec':>7} {'trunc':>5}"
-        for name, _, _ in COLUMNS))
+        f" {name:>{width}} {'nodes':>8} {'sec':>7} {'trunc':>5}"
+        for name, _, _, width in table))
     for n in range(1, args.max_n + 1):
         row = f"{n:>3}"
-        for _, search, family in COLUMNS:
+        for _, search, family, width in table:
             res, seconds = timed(search, n, family)
             flag = "no" if res.completed else "yes"
-            row += f" {res.value:>12} {res.nodes:>8} {seconds:>7.2f} {flag:>5}"
+            row += (f" {res.value:>{width}} {res.nodes:>8} {seconds:>7.2f}"
+                    f" {flag:>5}")
         print(row, flush=True)
 
 

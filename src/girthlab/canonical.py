@@ -38,6 +38,10 @@ it, and none is the first minimal leaf of T. On the incidence graphs of
 generalized polygons the tree shrinks by orders of magnitude: PG(2,3)
 takes 43 tree nodes instead of 17,915, and PG(2,5), out of reach
 without pruning, takes 175.
+
+canonical_labeling also returns the stored automorphisms. They generate a
+subgroup of Aut(G), and with the twin transpositions they give the Turán
+search its orbits of neighbour sets. Returning them adds no work.
 """
 
 from __future__ import annotations
@@ -194,8 +198,32 @@ class _CanonSearch:
 
 
 def canonical_labeling(G: Graph) -> tuple:
-    """(minimal encoding integer, permutation old-vertex -> position)."""
-    return _CanonSearch(G).run()
+    """(minimal encoding integer, permutation old-vertex -> position,
+    automorphisms). The automorphisms are the ones the search stored, as
+    lists v -> image; they generate a subgroup of Aut(G), possibly the
+    trivial one, and never swap twins (see twin_transpositions)."""
+    search = _CanonSearch(G)
+    encoding, perm = search.run()
+    return encoding, perm, search.generators
+
+
+def twin_transpositions(G: Graph) -> list:
+    """The automorphisms that swap a vertex with the first vertex of its
+    twin class, as lists v -> image; together they generate every
+    permutation of each twin class. Twins have equal open neighbourhoods
+    (u, v not adjacent) or equal closed ones (u, v adjacent). An open
+    neighbourhood never equals a closed one: N(u) = N[v] puts v in N(u), so
+    u in N(v) and in N(u)."""
+    first, out = {}, []
+    for v, b in enumerate(G.bits):
+        r = first.get(b, first.get(b | 1 << v))
+        if r is not None:
+            gamma = list(range(G.n))
+            gamma[r], gamma[v] = v, r
+            out.append(gamma)
+        first.setdefault(b, v)
+        first.setdefault(b | 1 << v, v)
+    return out
 
 
 def canonical_key(G: Graph) -> tuple:
@@ -206,8 +234,7 @@ def canonical_key(G: Graph) -> tuple:
 
 def canonical_graph(G: Graph) -> Graph:
     """G relabeled into its canonical ordering."""
-    _, perm = canonical_labeling(G)
-    return relabel(G, perm)
+    return relabel(G, canonical_labeling(G)[1])
 
 
 def last_edge_under(G: Graph, perm) -> tuple:
@@ -234,8 +261,7 @@ def canonical_last_edge(G: Graph):
     """
     if G.m == 0:
         return None
-    _, perm = canonical_labeling(G)
-    return last_edge_under(G, perm)
+    return last_edge_under(G, canonical_labeling(G)[1])
 
 
 def are_isomorphic(G: Graph, H: Graph) -> bool:

@@ -5,7 +5,7 @@ construction.
 Turán search adds one vertex at a time (Garnick, Kwong & Lazebnik,
 Extremal graphs without three-cycles or four-cycles, J. Graph Theory 17,
 1993). Write ex(k) for ex(k, F) and S(k, t) for the isomorphism classes of
-F-free graphs on k vertices with at least t edges. Four facts make the
+F-free graphs on k vertices with at least t edges. Five facts make the
 search exact:
 
 (a) Threshold. ex(k) >= ex(k-1) + 1 for k >= 2, because a pendant vertex
@@ -25,14 +25,29 @@ search exact:
 (d) Minimum degree. x must have the least degree in G, so every parent
     vertex outside N(x) has degree at least |N(x)|, and every vertex in
     N(x) degree at least |N(x)| - 1.
+(e) Orbits. Let g be an automorphism of the parent P. Extended by x -> x,
+    it maps the child with neighbours N onto the child with neighbours
+    g(N), so the two are isomorphic, and both sets are admissible, since
+    conflicts and degrees are invariant. So of each orbit of neighbour sets
+    under a group of automorphisms of P, only the first set in enumeration
+    order needs a label. Any subgroup of Aut(P) will do: its orbits only
+    split those of Aut(P). P's group is generated by the automorphisms the
+    canonical search stored when it labeled P, and by the transpositions of
+    P's twins, which that search never stores. The first child of each
+    class in a level comes from the first set of its orbit, since an earlier
+    set of that orbit would give an isomorphic child earlier. So each level
+    keeps the same graph for each class, in the same order, and records the
+    same witnesses, as when every child is labeled. The sets skipped are
+    still tried: they count as search nodes and against the budget, so node
+    counts and the point where a budget stops the search do not change.
 
 So S(k, t) is built from S(k-1, t - floor(2t/k)) by adding x with every
 admissible N(x), and the levels are extended downwards as higher levels ask
 for lower thresholds. Isomorph rejection keeps one dict per level, keyed by
-canonical encoding, and labels each child once; nothing is kept between
-calls. Search nodes count the neighbour sets tried. A search its budget
-stops reports the best graph found at any level, padded to n vertices with
-pendant vertices.
+canonical encoding, and labels the first child of each orbit (e) once;
+nothing is kept between calls. Search nodes count the neighbour sets tried,
+skipped ones included. A search its budget stops reports the best graph
+found at any level, padded to n vertices with pendant vertices.
 
 Zarankiewicz search is a row-based branch and bound over neighborhoods of
 the smaller part, under three sound symmetry rules (row sizes
@@ -105,7 +120,7 @@ import time
 from dataclasses import dataclass, field
 
 from .budgets import search_budget
-from .canonical import canonical_graph, canonical_labeling
+from .canonical import canonical_graph, canonical_labeling, twin_transpositions
 from .errors import BudgetExceeded, UnsupportedInstance
 from .formats import graph6_encode
 from .geometry import augment_distance_two, gq_w3, incidence_graph
@@ -269,6 +284,24 @@ def _independent_sets(candidates: int, conflicts: list, size: int):
             yield chosen | low
 
 
+def _orbit(mask: int, generators: list) -> set:
+    """The orbit of a vertex set, as a bitmask, under the group that the
+    permutations in generators (lists v -> image) generate."""
+    orbit, stack = {mask}, [mask]
+    while stack:
+        s = stack.pop()
+        for gamma in generators:
+            image, rest = 0, s
+            while rest:
+                low = rest & -rest
+                image |= 1 << gamma[low.bit_length() - 1]
+                rest ^= low
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
+
+
 def _padded(G: Graph, n: int) -> Graph:
     """G with a path of new vertices hung from its last vertex, up to n
     vertices: a pendant vertex lies on no cycle and adds one edge."""
@@ -276,10 +309,10 @@ def _padded(G: Graph, n: int) -> Graph:
 
 
 class _TuranSearch:
-    """Level sets of family-free graphs, one vertex at a time (facts (a)-(d)
+    """Level sets of family-free graphs, one vertex at a time (facts (a)-(e)
     of the module docstring). ``levels[k]`` maps canonical encodings to
-    graphs and holds every class on k vertices with at least ``floors[k]``
-    edges."""
+    (graph, automorphisms the canonical search stored) and holds every class
+    on k vertices with at least ``floors[k]`` edges."""
 
     def __init__(self, n, family, limit, order_seed):
         self.n = n
@@ -289,7 +322,7 @@ class _TuranSearch:
         self.nodes = 0
         self.best = -1
         self.tied = []
-        self.levels = [{0: Graph(0)}] + [{} for _ in range(n)]
+        self.levels = [{0: (Graph(0), [])}] + [{} for _ in range(n)]
         self.floors = [0] + [math.inf] * n
 
     def over_budget(self) -> BudgetExceeded:
@@ -301,7 +334,7 @@ class _TuranSearch:
         ex = 0
         for k in range(1, self.n + 1):
             threshold = ex + 1 if k >= 2 else 0
-            ex = max(G.m for G in self.level(k, threshold).values())
+            ex = max(G.m for G, _ in self.level(k, threshold).values())
 
     def level(self, k: int, threshold: int) -> dict:
         """levels[k], extended to hold every class with at least threshold
@@ -311,29 +344,35 @@ class _TuranSearch:
         if threshold >= ceiling:
             return level
         least = max(0, threshold - 2 * threshold // k)
-        parents = [P for P in self.level(k - 1, least).values()
-                   if P.m >= least]
+        parents = [(P, automorphisms) for P, automorphisms
+                   in self.level(k - 1, least).values() if P.m >= least]
         if self.order_seed is not None:
             XorShift64Star(self.order_seed + k).shuffle(parents)
-        for P in parents:
+        for P, automorphisms in parents:
             deg = P.degrees()
             conflicts = _conflicts(P, self.family.lengths, range(P.n))
+            generators = automorphisms + twin_transpositions(P)
+            seen = set()
             for d in range(max(0, threshold - P.m), min(ceiling - P.m, k)):
                 for neighbours in _neighbour_sets(deg, conflicts, d):
-                    self.add(level, P, neighbours)
+                    self.nodes += 1
+                    if self.nodes > self.limit:
+                        raise self.over_budget()
+                    # fact (e): one labeled child per orbit
+                    if neighbours not in seen:
+                        if generators:
+                            seen |= _orbit(neighbours, generators)
+                        self.add(level, P, neighbours)
         self.floors[k] = threshold
         return level
 
     def add(self, level: dict, P: Graph, neighbours: int):
-        self.nodes += 1
-        if self.nodes > self.limit:
-            raise self.over_budget()
         x = P.n
         child = Graph(x + 1, P.edges() + [(v, x) for v in range(x)
                                            if neighbours >> v & 1])
         labeling = canonical_labeling(child)
         if labeling[0] not in level:
-            level[labeling[0]] = child
+            level[labeling[0]] = child, labeling[2]
             self.record(child, labeling)
 
     def record(self, G: Graph, labeling):
@@ -491,7 +530,7 @@ class _ZarankiewiczSearch:
                 continue
             seen.add(column_key)
             G = self.make_graph(rows)
-            key, perm = canonical_labeling(G)
+            key, perm, _ = canonical_labeling(G)
             classes.setdefault(key, (G, perm))
         return list(classes.values())
 

@@ -11,10 +11,13 @@ from girthlab.canonical import (
     are_isomorphic,
     canonical_graph,
     canonical_key,
+    canonical_labeling,
     canonical_last_edge,
+    twin_transpositions,
 )
 from girthlab.errors import BudgetExceeded
 from girthlab.graph import Graph, relabel
+from girthlab.search import FamilySpec, _orbit, _TuranSearch
 from girthlab.verify import _constructed_set
 
 CONSTRUCTED = _constructed_set()
@@ -248,6 +251,69 @@ def test_pg23_incidence_tree_is_small():
     search = _CanonSearch(CONSTRUCTED["plane-incidence-q3"])
     search.run()
     assert search.nodes <= 1000  # 17,915 without automorphism pruning
+
+
+def _exposed_automorphisms(g):
+    """The automorphisms canonical_labeling stores, then the twin
+    transpositions."""
+    return canonical_labeling(g)[2] + twin_transpositions(g)
+
+
+def _vertex_orbits(g, generators):
+    return {frozenset(mask.bit_length() - 1
+                      for mask in _orbit(1 << v, generators))
+            for v in range(g.n)}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTED))
+def test_exposed_automorphisms_preserve_bits_on_constructions(name):
+    for g in [CONSTRUCTED[name]] + [_shuffled(CONSTRUCTED[name], seed)
+                                    for seed in range(3)]:
+        generators = _exposed_automorphisms(g)
+        assert generators
+        assert all(_is_automorphism(g, gamma) for gamma in generators)
+
+
+def test_exposed_automorphisms_preserve_bits_on_turan_levels():
+    """Every class the Turán search keeps for ex(9; {C4, C5}), with the
+    automorphisms it stored for the class and the class's twin
+    transpositions. The levels hold graphs with twins and without."""
+    run = _TuranSearch(9, FamilySpec.of(4, 5), 10**9, None)
+    run.run()
+    classes = [value for level in run.levels for value in level.values()]
+    assert len(classes) > 100
+    assert any(twin_transpositions(g) for g, _ in classes)
+    for g, automorphisms in classes:
+        assert automorphisms == canonical_labeling(g)[2]
+        for gamma in automorphisms + twin_transpositions(g):
+            assert _is_automorphism(g, gamma)
+
+
+def test_twin_transpositions_generate_each_twin_class():
+    """The empty graph, whose automorphisms the canonical search never
+    stores, and K3 plus a pendant path: each twin class is one orbit."""
+    empty = Graph(6)
+    assert canonical_labeling(empty)[2] == []
+    assert len(_vertex_orbits(empty, twin_transpositions(empty))) == 1
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    assert _vertex_orbits(g, twin_transpositions(g)) == {
+        frozenset({0, 1}), frozenset({2}), frozenset({3}), frozenset({4})}
+
+
+# The incidence graphs of PG(2,q) and of GQ(2,2) (Tutte–Coxeter) have a
+# point-line duality; W(3,3) is not self-dual, so its points and lines stay
+# apart.
+INCIDENCE_ORBITS = {"plane-incidence-q2": 1, "plane-incidence-q3": 1,
+                    "plane-incidence-q4": 1, "plane-incidence-q5": 1,
+                    "quadrangle-incidence-q2": 1,
+                    "quadrangle-incidence-q3": 2}
+
+
+@pytest.mark.parametrize("name", list(INCIDENCE_ORBITS))
+def test_exposed_automorphisms_give_the_vertex_orbits(name):
+    g = CONSTRUCTED[name]
+    assert len(_vertex_orbits(g, _exposed_automorphisms(g))) == \
+        INCIDENCE_ORBITS[name]
 
 
 def test_node_cap_message_names_graph_and_cap(monkeypatch):

@@ -41,6 +41,17 @@ def test_turan_table():
     assert (row[4], row[8], row[12]) == ("no", "no", "no")
 
 
+def test_turan_table_ell_three():
+    table = rows(run_script("turan_table.py", "--ell", "3", "--max-n", "8"))
+    assert table[0][1::4] == ["ex(n;C4,C6,C7)", "ex(n;C4,C6,C9)",
+                              "z(n;C4,C6)"]
+    (row,) = [r for r in table if r[0] == "8"]
+    # the edge-augmentation reference gives 10 for both odd lengths; C8 is
+    # the only {C4, C6}-free bipartite graph on 8 vertices with 8 edges
+    assert (row[1], row[5], row[9]) == ("10", "10", "8")
+    assert (row[4], row[8], row[12]) == ("no", "no", "no")
+
+
 def test_pseudorandomness_trend():
     out = run_script("pseudorandomness_trend.py", "--samples", "10",
                      "--orders", "2", "3")

@@ -378,7 +378,7 @@ def _edge_augmentation_ex(n, lengths):
             child = Graph(n, G.edges() + [(u, v)])
             if any(contains_cycle(child, length) for length in lengths):
                 continue
-            ckey, cperm = labeling(child)
+            ckey, cperm, _ = labeling(child)
             if ckey in children:
                 continue
             last = last_edge_under(child, cperm)
@@ -411,7 +411,7 @@ class _EagerZarankiewicz(search._ZarankiewiczSearch):
             self.classes = {}
         super().record()
         G = self.make_graph(self.rows)
-        key, perm = canonical_labeling(G)
+        key, perm, _ = canonical_labeling(G)
         self.classes.setdefault(key, (G, perm))
 
     def labeled_witnesses(self):
@@ -453,6 +453,77 @@ def test_turan_prefilter_matches_unfiltered_reference(lengths, order_seed):
         res = turan_number(n, family, order_seed=order_seed)
         assert (res.value, res.witnesses, res.completed) == (
             *_oracle(n, lengths), True)
+
+
+class _LabelEveryChild(search._TuranSearch):
+    """Reference: the level loop without orbit pruning (fact (e)). Every
+    admissible neighbour set is labeled."""
+
+    def level(self, k, threshold):
+        level = self.levels[k]
+        ceiling = self.floors[k]
+        if threshold >= ceiling:
+            return level
+        least = max(0, threshold - 2 * threshold // k)
+        parents = [P for P, _ in self.level(k - 1, least).values()
+                   if P.m >= least]
+        if self.order_seed is not None:
+            XorShift64Star(self.order_seed + k).shuffle(parents)
+        for P in parents:
+            deg = P.degrees()
+            conflicts = search._conflicts(P, self.family.lengths, range(P.n))
+            for d in range(max(0, threshold - P.m), min(ceiling - P.m, k)):
+                for neighbours in search._neighbour_sets(deg, conflicts, d):
+                    self.nodes += 1
+                    if self.nodes > self.limit:
+                        raise self.over_budget()
+                    self.add(level, P, neighbours)
+        self.floors[k] = threshold
+        return level
+
+
+def _turan_run(monkeypatch, cls, call):
+    """The outcome of call, run with cls as the Turán search, and the items
+    of every level of that search, in insertion order."""
+    runs = []
+
+    class Recorded(cls):
+        def run(self):
+            runs.append(self)
+            super().run()
+
+    monkeypatch.setattr(search, "_TuranSearch", Recorded)
+    outcome = _outcome(call)
+    monkeypatch.undo()
+    return outcome, [list(level.items()) for level in runs[0].levels]
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+@pytest.mark.parametrize("lengths", ORACLE_FAMILIES)
+def test_orbit_pruning_matches_labeling_every_child(monkeypatch, lengths,
+                                                    order_seed):
+    """Labeling one neighbour set per orbit of the parent's automorphisms
+    keeps the value, witnesses, completeness and node count, and every level
+    keeps the same first child of each class in the same order."""
+    family = FamilySpec.of(*lengths)
+    for n in range(1, 11):
+        call = functools.partial(turan_number, n, family,
+                                 order_seed=order_seed)
+        assert _turan_run(monkeypatch, search._TuranSearch, call) == \
+            _turan_run(monkeypatch, _LabelEveryChild, call), n
+
+
+@pytest.mark.parametrize("n,lengths", [(8, (4, 5)), (7, (3,)), (9, (4, 7))])
+def test_truncated_orbit_pruning_matches_labeling_every_child(monkeypatch, n,
+                                                              lengths):
+    """Skipped neighbour sets still count as nodes, so a budget stops the
+    pruned search where it stops the reference, with the same result."""
+    family = FamilySpec.of(*lengths)
+    full = turan_number(n, family)
+    for budget in range(0, full.nodes, max(1, full.nodes // 20)):
+        call = functools.partial(turan_number, n, family, budget=budget)
+        assert _turan_run(monkeypatch, search._TuranSearch, call) == \
+            _turan_run(monkeypatch, _LabelEveryChild, call), budget
 
 
 @pytest.mark.parametrize("lengths", [(4,), (4, 6)])
@@ -683,6 +754,62 @@ def test_size_prune_matches_unpruned_search(lengths):
         res = zarankiewicz_ab(a, b, family)
         ref = _unfloored(a, b, family, None, _UnprunedZarankiewicz)
         assert (res.value, res.witnesses) == (ref.value, ref.witnesses), (a, b)
+
+
+class _UnorderedRowsZarankiewicz(search._ZarankiewiczSearch):
+    """Reference: the row search without the lex rule for equal-size rows.
+    A row may take any used column whatever the previous row's size, so
+    every order of the rows of one size is searched."""
+
+    def search(self, used_cols, edges):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise self.over_budget()
+        row_index = len(self.rows)
+        if row_index == self.rows_n:
+            self.record()
+            return
+        rows_left = self.rows_n - row_index
+        prev = self.rows[-1] if self.rows else None
+        conf = self.column_conflicts()
+        sizes = list(range(len(prev) if prev else self.cols_n, -1, -1))
+        if self.order_seed is not None:
+            XorShift64Star(self.order_seed + row_index).shuffle(sizes)
+        for s in sizes:
+            if s == 0:
+                self.record()
+                continue
+            if edges + rows_left * s < self.best:
+                continue
+            old = (1 << used_cols) - 1
+            for f in range(min(s, self.cols_n - used_cols) + 1):
+                fresh = tuple(range(used_cols, used_cols + f))
+                for chosen in search._independent_sets(old, conf, s - f):
+                    row = tuple(c for c in range(used_cols)
+                                if chosen >> c & 1) + fresh
+                    self.nodes += 1
+                    if self.nodes > self.limit:
+                        raise self.over_budget()
+                    self.rows.append(row)
+                    self.search(used_cols + f, edges + s)
+                    self.rows.pop()
+
+
+@pytest.mark.parametrize("lengths", [(4,), (4, 6)])
+def test_lex_rule_matches_unordered_rows(monkeypatch, lengths):
+    """The lex rule for equal-size rows (the previous row's first column as
+    a floor, and the skip of lex-smaller rows) leaves the value, every
+    extremal class and completeness as the search without it finds them.
+    The reference searches more rows, so nodes are not compared."""
+    family = FamilySpec.of(*lengths)
+    for a, b in SMALL_AB:
+        call = functools.partial(zarankiewicz_ab, a, b, family)
+        fast = _outcome(call)
+        monkeypatch.setattr(search, "_ZarankiewiczSearch",
+                            _UnorderedRowsZarankiewicz)
+        unordered = _outcome(call)
+        monkeypatch.undo()
+        assert fast[:3] == unordered[:3], (a, b)
 
 
 @pytest.mark.parametrize("name", ["_ZarankiewiczSearch"])
