@@ -1,5 +1,5 @@
-"""Canonical forms for small graphs: iterated degree refinement followed by
-a backtracking search for the minimal adjacency-matrix encoding.
+"""Canonical forms for small graphs: refinement of ordered partitions
+followed by a backtracking search for the minimal adjacency-matrix encoding.
 
 The canonical encoding is the minimum, over vertex orderings consistent
 with the refinement tree, of the upper-triangle adjacency bits read row by
@@ -7,13 +7,50 @@ row (first pair most significant). Two graphs are isomorphic iff they have
 the same (n, encoding) key, and the encoding doubles as the witness
 serialization key in the search module.
 
-Branching individualizes one vertex of the first non-singleton cell at a
-time; a leaf is a discrete coloring, read as a vertex ordering. Vertices
-that are twins (equal neighborhoods outside the pair) are interchangeable
-by an automorphism, so only one representative per twin class is explored.
-Call this tree T. The result is the first leaf of T in depth-first order
-whose encoding is minimal: its encoding, and its coloring as the
-permutation.
+A node of the search tree holds an ordered partition of the vertices: a
+list of cells, each a sorted vertex list. The colour of a vertex is the
+index of its cell. Branching individualizes one vertex of the first
+non-singleton cell at a time; a leaf is a discrete partition, read as a
+vertex ordering. Vertices that are twins (equal neighborhoods outside the
+pair) are interchangeable by an automorphism, so only one representative
+per twin class is explored. Call this tree T. The result is the first leaf
+of T in depth-first order whose encoding is minimal: its encoding, and its
+colouring as the permutation.
+
+Refinement is defined by a colour-list loop. A round gives each vertex the
+rank, among the distinct keys, of its key (colour, sorted colours of its
+neighbours), and the loop stops at a round that adds no colour. The root
+refines the all-zero colouring. A child individualizes v in the cell T of
+colour c: v gets 2c - 1, every other vertex twice its colour, and the
+ranks of those values are refined. _refine gives the loop's partition
+round by round while re-keying less, by five facts.
+
+1. A round ranks by colour first, so cells keep their order, and each cell
+   splits by the sorted neighbour-colour tuples of its vertices, the
+   sub-cells in tuple order.
+2. Cellmates had equal keys one round before, and the colours of the cells
+   that did not split then are renumbered monotonically. So cellmates have
+   as many neighbours as each other in every cell that did not split, and
+   a cell with no vertex adjacent to a just-split cell cannot split.
+3. Cellmates have equally many neighbours in each cell of the round before.
+   For sorted tuples of equal length, lex order is decided by the least
+   value whose multiplicity differs: the tuple with more copies of it is
+   smaller. Dropping the neighbours outside the just-split cells removes
+   values of equal multiplicity from both tuples, so the tuples stay equal
+   in length and keep their order. A key need read only the colours of
+   neighbours inside the just-split cells.
+4. From the all-zero colouring the first round ranks the vertices by
+   degree. So the root starts from the degree classes in ascending order.
+   With one class that partition is already equitable and no round runs;
+   otherwise the next round reads every neighbour of every vertex.
+5. A node's partition is equitable: no round splits it. Individualizing v
+   puts [v] before T - {v}, as 2c - 1 < 2c, and moves the later cells up
+   by one. Cellmates have equally many neighbours in T, so they can differ
+   only in adjacency to v: the first round reads the neighbours in T and
+   re-keys the cells that meet N(v).
+
+So _refine yields the loop's partitions, T is the loop's tree, and every
+result below is the same under either.
 
 Two leaves with equal encodings differ by an automorphism, which takes
 each vertex to the vertex at the same position in the other leaf. The
@@ -52,29 +89,64 @@ from .graph import Graph, relabel
 _NODE_CAP = 10_000_000
 
 
-def _refine(n: int, bits: tuple, colors: list) -> list:
-    """Stable iterated refinement by multisets of neighbor colors.
+def _refine(bits: tuple, cells: list, split: int = -1,
+            touched: int = -1) -> list:
+    """Split-driven refinement of an ordered partition (a list of cells,
+    each a sorted vertex list) to an equitable one.
 
-    Deterministic and label-invariant: new colors are assigned by sorting
-    the (old color, sorted neighbor colors) keys.
+    Each round re-keys only the non-singleton cells that hold a vertex of
+    ``touched``: a vertex by the sorted colours (cell indices) of its
+    neighbours in ``split``, and a cell is replaced by its sub-cells in key
+    order. The next round's ``split`` is the vertices of the cells that
+    split and ``touched`` their neighbours; a round in which no cell splits
+    ends it. The module docstring shows that each round gives the partition
+    that the colour-list loop gives.
     """
-    ncolors = len(set(colors))
+    color = {}
+    for i, cell in enumerate(cells):
+        for v in cell:
+            color[v] = i
     while True:
-        keys = []
-        for v in range(n):
-            mask = bits[v]
-            neigh = []
-            while mask:
-                low = mask & -mask
-                neigh.append(colors[low.bit_length() - 1])
-                mask ^= low
-            neigh.sort()
-            keys.append((colors[v], tuple(neigh)))
-        order = {key: i for i, key in enumerate(sorted(set(keys)))}
-        colors = [order[key] for key in keys]
-        if len(order) == ncolors:
-            return colors
-        ncolors = len(order)
+        out = []
+        # colours, in the next partition, of the vertices of split cells
+        split_color = {}
+        next_split = next_touched = 0
+        for cell in cells:
+            if len(cell) > 1:
+                for v in cell:
+                    if touched >> v & 1:
+                        break
+                else:
+                    out.append(cell)
+                    continue
+                groups = {}
+                for v in cell:
+                    mask = bits[v] & split
+                    key = []
+                    while mask:
+                        low = mask & -mask
+                        key.append(color[low.bit_length() - 1])
+                        mask ^= low
+                    key.sort()
+                    key = tuple(key)
+                    if key in groups:
+                        groups[key].append(v)
+                    else:
+                        groups[key] = [v]
+                if len(groups) > 1:
+                    for key in sorted(groups):
+                        sub = groups[key]
+                        for v in sub:
+                            split_color[v] = len(out)
+                            next_split |= 1 << v
+                            next_touched |= bits[v]
+                        out.append(sub)
+                    continue
+            out.append(cell)
+        if not next_split:
+            return cells
+        cells, color = out, split_color
+        split, touched = next_split, next_touched
 
 
 def _twin_representatives(candidates: list, bits: tuple) -> list:
@@ -106,10 +178,16 @@ class _CanonSearch:
     def run(self):
         if self.n == 0:
             return 0, ()
-        self._descend(_refine(self.n, self.bits, [0] * self.n), ())
+        classes = {}
+        for v, b in enumerate(self.bits):
+            classes.setdefault(b.bit_count(), []).append(v)
+        cells = [classes[d] for d in sorted(classes)]
+        if len(cells) > 1:
+            cells = _refine(self.bits, cells)
+        self._descend(cells, ())
         return self.best, self.best_perm
 
-    def _descend(self, colors, path):
+    def _descend(self, cells, path):
         """Search below the node reached by individualizing ``path`` in
         order. Returns the depth of the node the search jumps back to, or
         None to go on with the next sibling."""
@@ -118,19 +196,18 @@ class _CanonSearch:
             raise BudgetExceeded(
                 f"canonical search of a graph on {self.n} vertices exceeded "
                 f"its cap of {_NODE_CAP} tree nodes")
-        n = self.n
-        counts = [0] * n
-        for c in colors:
-            counts[c] += 1
-        target = next((c for c in range(n) if counts[c] >= 2), None)
-        if target is None:
-            return self._leaf(colors, path)
+        t = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if t is None:
+            return self._leaf(cells, path)
         depth = len(path)
-        candidates = [v for v in range(n) if colors[v] == target]
+        target = cells[t]
+        split = 0
+        for v in target:
+            split |= 1 << v
         explored = []
         orbit = None
         known = 0
-        for v in _twin_representatives(candidates, self.bits):
+        for v in _twin_representatives(target, self.bits):
             if explored and self.generators:
                 if known != len(self.generators):
                     known = len(self.generators)
@@ -138,26 +215,26 @@ class _CanonSearch:
                 if any(orbit[u] == orbit[v] for u in explored):
                     continue
             explored.append(v)
-            split = [2 * c for c in colors]
-            split[v] -= 1
-            order = {c: i for i, c in enumerate(sorted(set(split)))}
-            jump = self._descend(_refine(n, self.bits, [order[c] for c in split]),
-                                 path + (v,))
+            child = (cells[:t] + [[v], [u for u in target if u != v]]
+                     + cells[t + 1:])
+            jump = self._descend(
+                _refine(self.bits, child, split, self.bits[v]), path + (v,))
             if jump is not None and jump < depth:
                 return jump
         return None
 
-    def _leaf(self, colors, path):
+    def _leaf(self, cells, path):
         n = self.n
-        inv = [0] * n
-        for v in range(n):
-            inv[colors[v]] = v
+        inv = [cell[0] for cell in cells]
         bits = self.bits
         enc = 0
         for i in range(n):
             vi = inv[i]
             for j in range(i + 1, n):
                 enc = (enc << 1) | ((bits[vi] >> inv[j]) & 1)
+        colors = [0] * n
+        for i, v in enumerate(inv):
+            colors[v] = i
         earlier = self.leaves.get(enc)
         if earlier is not None:
             return self._automorphism(colors, path, *earlier)

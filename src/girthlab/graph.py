@@ -134,7 +134,11 @@ class BipartiteGraph(Graph):
 
 
 def relabel(G: Graph, perm) -> Graph:
-    """New graph with vertex v renamed perm[v]."""
+    """New graph with vertex v renamed perm[v]; perm must be a permutation
+    of 0..n-1."""
+    if sorted(perm) != list(range(G.n)):
+        raise ValueError(f"relabeling is not a permutation of the {G.n} "
+                         f"vertices of the graph")
     return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
 
 

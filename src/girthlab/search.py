@@ -218,15 +218,15 @@ class SearchResult:
         )
 
 
-def _conflicts(P: Graph, lengths, starts) -> list:
-    """For each u in starts, the vertices of P that a path of L - 2 edges
-    joins to u, for some L in lengths. A new vertex adjacent to u and v
-    closes a C_L exactly when such a path joins them."""
+def _conflicts(bits: tuple, lengths, starts) -> list:
+    """For each u in starts, the vertices of the graph with neighbour masks
+    bits that a path of L - 2 edges joins to u, for some L in lengths. A new
+    vertex adjacent to u and v closes a C_L exactly when such a path joins
+    them."""
     wanted = 0
     for length in lengths:
         wanted |= 1 << (length - 2)
     deepest = max(lengths) - 2
-    bits = P.bits
     out = []
     for u in starts:
         acc = 0
@@ -350,7 +350,7 @@ class _TuranSearch:
             XorShift64Star(self.order_seed + k).shuffle(parents)
         for P, automorphisms in parents:
             deg = P.degrees()
-            conflicts = _conflicts(P, self.family.lengths, range(P.n))
+            conflicts = _conflicts(P.bits, self.family.lengths, range(P.n))
             generators = automorphisms + twin_transpositions(P)
             seen = set()
             for d in range(max(0, threshold - P.m), min(ceiling - P.m, k)):
@@ -547,9 +547,16 @@ class _ZarankiewiczSearch:
                 for c in row:
                     conf[c] |= bits
             return conf
+        # the neighbour masks of the rows graph: row i is vertex i, column c
+        # is vertex rows_n + c
         shift = self.rows_n
-        return [bits >> shift for bits in
-                _conflicts(self.make_graph(self.rows), self.even,
+        bits = [0] * (shift + self.cols_n)
+        for i, row in enumerate(self.rows):
+            for c in row:
+                bits[i] |= 1 << (shift + c)
+                bits[shift + c] |= 1 << i
+        return [conf >> shift for conf in
+                _conflicts(bits, self.even,
                            range(shift, shift + self.cols_n))]
 
     def search(self, used_cols, edges):

@@ -1,13 +1,16 @@
 import hashlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from girthlab import canonical
 from girthlab.canonical import (
+    _NODE_CAP,
     _CanonSearch,
+    _twin_representatives,
     are_isomorphic,
     canonical_graph,
     canonical_key,
@@ -320,3 +323,154 @@ def test_node_cap_message_names_graph_and_cap(monkeypatch):
     monkeypatch.setattr(canonical, "_NODE_CAP", 5)
     with pytest.raises(BudgetExceeded, match="14 vertices .* cap of 5 tree nodes"):
         canonical_key(CONSTRUCTED["plane-incidence-q2"])
+
+
+# The colour-list refinement and search that the ordered partitions
+# replaced, kept verbatim as the oracle they must match: the module
+# docstring argues that the two give the same tree, leaf for leaf.
+
+
+def _refine(n: int, bits: tuple, colors: list) -> list:
+    """Stable iterated refinement by multisets of neighbor colors.
+
+    Deterministic and label-invariant: new colors are assigned by sorting
+    the (old color, sorted neighbor colors) keys.
+    """
+    ncolors = len(set(colors))
+    while True:
+        keys = []
+        for v in range(n):
+            mask = bits[v]
+            neigh = []
+            while mask:
+                low = mask & -mask
+                neigh.append(colors[low.bit_length() - 1])
+                mask ^= low
+            neigh.sort()
+            keys.append((colors[v], tuple(neigh)))
+        order = {key: i for i, key in enumerate(sorted(set(keys)))}
+        colors = [order[key] for key in keys]
+        if len(order) == ncolors:
+            return colors
+        ncolors = len(order)
+
+
+class _ColourListSearch(_CanonSearch):
+    """Reference: the search on colour lists, refined by the loop above."""
+
+    def run(self):
+        if self.n == 0:
+            return 0, ()
+        self._descend(_refine(self.n, self.bits, [0] * self.n), ())
+        return self.best, self.best_perm
+
+    def _descend(self, colors, path):
+        """Search below the node reached by individualizing ``path`` in
+        order. Returns the depth of the node the search jumps back to, or
+        None to go on with the next sibling."""
+        self.nodes += 1
+        if self.nodes > _NODE_CAP:
+            raise BudgetExceeded(
+                f"canonical search of a graph on {self.n} vertices exceeded "
+                f"its cap of {_NODE_CAP} tree nodes")
+        n = self.n
+        counts = [0] * n
+        for c in colors:
+            counts[c] += 1
+        target = next((c for c in range(n) if counts[c] >= 2), None)
+        if target is None:
+            return self._leaf(colors, path)
+        depth = len(path)
+        candidates = [v for v in range(n) if colors[v] == target]
+        explored = []
+        orbit = None
+        known = 0
+        for v in _twin_representatives(candidates, self.bits):
+            if explored and self.generators:
+                if known != len(self.generators):
+                    known = len(self.generators)
+                    orbit = self._orbits(path)
+                if any(orbit[u] == orbit[v] for u in explored):
+                    continue
+            explored.append(v)
+            split = [2 * c for c in colors]
+            split[v] -= 1
+            order = {c: i for i, c in enumerate(sorted(set(split)))}
+            jump = self._descend(_refine(n, self.bits, [order[c] for c in split]),
+                                 path + (v,))
+            if jump is not None and jump < depth:
+                return jump
+        return None
+
+    def _leaf(self, colors, path):
+        n = self.n
+        inv = [0] * n
+        for v in range(n):
+            inv[colors[v]] = v
+        bits = self.bits
+        enc = 0
+        for i in range(n):
+            vi = inv[i]
+            for j in range(i + 1, n):
+                enc = (enc << 1) | ((bits[vi] >> inv[j]) & 1)
+        earlier = self.leaves.get(enc)
+        if earlier is not None:
+            return self._automorphism(colors, path, *earlier)
+        self.leaves[enc] = (inv, path)
+        if self.best is None or enc < self.best:
+            self.best = enc
+            self.best_perm = tuple(colors)
+        return None
+
+
+_partition_refine = canonical._refine
+
+
+def _checked_refine(bits, cells, split=-1, touched=-1):
+    """The partition refinement, asserted equal to the colour-list loop on
+    the colouring of the same partition."""
+    refined = _partition_refine(bits, cells, split, touched)
+    colors = [0] * len(bits)
+    for i, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = i
+    expected = [[] for _ in range(len(bits))]
+    for v, c in enumerate(_refine(len(bits), bits, colors)):
+        expected[c].append(v)
+    assert refined == [cell for cell in expected if cell]
+    return refined
+
+
+def _assert_matches_colour_list(g):
+    """The partition search, with every refinement it runs checked against
+    the loop, gives the result, the automorphisms and the tree-node count
+    of the colour-list search."""
+    with mock.patch.object(canonical, "_refine", _checked_refine):
+        search = _CanonSearch(g)
+        result = search.run()
+    reference = _ColourListSearch(g)
+    assert result == reference.run()
+    assert search.generators == reference.generators
+    assert search.nodes == reference.nodes
+
+
+@given(small_graph(max_n=12), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_partitions_match_colour_list_on_small_graphs(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    _assert_matches_colour_list(relabel(g, perm))
+
+
+def test_partitions_match_colour_list_on_turan_levels():
+    run = _TuranSearch(9, FamilySpec.of(4, 5), 10**9, None)
+    run.run()
+    for level in run.levels:
+        for g, _ in level.values():
+            _assert_matches_colour_list(g)
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTED))
+def test_partitions_match_colour_list_on_constructions(name):
+    for seed in range(3):
+        _assert_matches_colour_list(_shuffled(CONSTRUCTED[name], seed))

@@ -28,6 +28,7 @@ from girthlab.graph import (
     neighborhood_layers,
     odd_cycle_run,
     peel_min_degree,
+    relabel,
 )
 from girthlab.verify import _constructed_set
 
@@ -412,3 +413,13 @@ def test_dense_spectrum_matches_networkx():
     # networkx lists every cycle, so keep the length bound small here
     for g in dense_corpus(4, 51):
         assert cycle_spectrum(g, 5) == _nx_spectrum(g, 5)
+
+
+def test_relabel_rejects_non_permutations():
+    """A map that sends two vertices to one would merge edges, and one of
+    the wrong length would rename vertices that do not exist."""
+    g = Graph(3, [(0, 1), (0, 2)])
+    assert relabel(g, [2, 0, 1]) == Graph(3, [(2, 0), (2, 1)])
+    for perm in ([1, 0, 0], [0, 1, 2, 3], [0, 1]):
+        with pytest.raises(ValueError, match="permutation of the 3 vertices"):
+            relabel(g, perm)

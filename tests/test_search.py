@@ -471,7 +471,8 @@ class _LabelEveryChild(search._TuranSearch):
             XorShift64Star(self.order_seed + k).shuffle(parents)
         for P in parents:
             deg = P.degrees()
-            conflicts = search._conflicts(P, self.family.lengths, range(P.n))
+            conflicts = search._conflicts(P.bits, self.family.lengths,
+                                          range(P.n))
             for d in range(max(0, threshold - P.m), min(ceiling - P.m, k)):
                 for neighbours in search._neighbour_sets(deg, conflicts, d):
                     self.nodes += 1
@@ -810,6 +811,66 @@ def test_lex_rule_matches_unordered_rows(monkeypatch, lengths):
         unordered = _outcome(call)
         monkeypatch.undo()
         assert fast[:3] == unordered[:3], (a, b)
+
+
+class _AnyFreshColumnsZarankiewicz(search._ZarankiewiczSearch):
+    """Reference: the row search without the fresh-column rule. A row may be
+    any independent set over all the columns, since an unused column has no
+    conflicts, so a row's new columns need not be the next unused labels.
+    The lex rule for equal-size rows stays. ``used`` is the bitmask of the
+    columns the rows so far hold."""
+
+    def search(self, used, edges):
+        self.nodes += 1
+        if self.nodes > self.limit:
+            raise self.over_budget()
+        row_index = len(self.rows)
+        if row_index == self.rows_n:
+            self.record()
+            return
+        rows_left = self.rows_n - row_index
+        prev = self.rows[-1] if self.rows else None
+        conf = self.column_conflicts()
+        sizes = list(range(len(prev) if prev else self.cols_n, -1, -1))
+        if self.order_seed is not None:
+            XorShift64Star(self.order_seed + row_index).shuffle(sizes)
+        for s in sizes:
+            if s == 0:
+                self.record()
+                continue
+            if edges + rows_left * s < self.best:
+                continue
+            tied = prev is not None and s == len(prev)
+            floor = prev[0] if tied else 0
+            columns = (1 << self.cols_n) - (1 << floor)
+            for chosen in search._independent_sets(columns, conf, s):
+                row = tuple(c for c in range(self.cols_n) if chosen >> c & 1)
+                if tied and row < prev:
+                    continue
+                self.nodes += 1
+                if self.nodes > self.limit:
+                    raise self.over_budget()
+                self.rows.append(row)
+                self.search(used | chosen, edges + s)
+                self.rows.pop()
+
+
+@pytest.mark.parametrize("lengths", [(4,), (4, 6)])
+def test_fresh_column_rule_matches_any_fresh_columns(monkeypatch, lengths):
+    """The fresh-column rule (a row's new columns are the next unused
+    labels) leaves the value, every extremal class and completeness as the
+    search that lets a row take any columns finds them. The reference
+    searches every relabeling of the new columns, so it stops at a·b <= 24
+    and nodes are not compared."""
+    family = FamilySpec.of(*lengths)
+    for a, b in [(a, b) for a, b in SMALL_AB if a * b <= 24]:
+        call = functools.partial(zarankiewicz_ab, a, b, family)
+        fast = _outcome(call)
+        monkeypatch.setattr(search, "_ZarankiewiczSearch",
+                            _AnyFreshColumnsZarankiewicz)
+        anywhere = _outcome(call)
+        monkeypatch.undo()
+        assert fast[:3] == anywhere[:3], (a, b)
 
 
 @pytest.mark.parametrize("name", ["_ZarankiewiczSearch"])
