@@ -149,25 +149,29 @@ def _refine(bits: tuple, cells: list, split: int = -1,
         split, touched = next_split, next_touched
 
 
-def _twin_representatives(candidates: list, bits: tuple) -> list:
-    reps = []
-    for v in candidates:
-        vb = bits[v]
-        is_dup = False
-        for r in reps:
-            mask = ~((1 << v) | (1 << r))
-            if (vb & mask) == (bits[r] & mask):
-                is_dup = True
-                break
-        if not is_dup:
-            reps.append(v)
-    return reps
+def _twin_classes(bits: tuple) -> list:
+    """The first vertex of each vertex's twin class, vertex by vertex.
+
+    Twins have equal open neighbourhoods (u, v not adjacent) or equal closed
+    ones (u, v adjacent). An open neighbourhood never equals a closed one:
+    N(u) = N[v] puts v in N(u), so u in N(v) and in N(u). So each lookup
+    below finds only twins. Nor can a class mix the two kinds: N(u) = N(v)
+    and N[v] = N[w] put w in N(u), so u in N[w] = N[v], though u, v are not
+    adjacent. So twinship is an equivalence, and the first vertex that
+    stored a key is the first of its class."""
+    first, out = {}, []
+    for v, b in enumerate(bits):
+        out.append(first.get(b, first.get(b | 1 << v, v)))
+        first.setdefault(b, v)
+        first.setdefault(b | 1 << v, v)
+    return out
 
 
 class _CanonSearch:
     def __init__(self, G: Graph):
         self.n = G.n
         self.bits = G.bits
+        self.twin = _twin_classes(G.bits)
         self.best = None
         self.best_perm = None
         self.nodes = 0
@@ -202,12 +206,14 @@ class _CanonSearch:
         depth = len(path)
         target = cells[t]
         split = 0
+        reps = {}  # twin class -> its first vertex in the target cell
         for v in target:
             split |= 1 << v
+            reps.setdefault(self.twin[v], v)
         explored = []
         orbit = None
         known = 0
-        for v in _twin_representatives(target, self.bits):
+        for v in reps.values():
             if explored and self.generators:
                 if known != len(self.generators):
                     known = len(self.generators)
@@ -287,19 +293,13 @@ def canonical_labeling(G: Graph) -> tuple:
 def twin_transpositions(G: Graph) -> list:
     """The automorphisms that swap a vertex with the first vertex of its
     twin class, as lists v -> image; together they generate every
-    permutation of each twin class. Twins have equal open neighbourhoods
-    (u, v not adjacent) or equal closed ones (u, v adjacent). An open
-    neighbourhood never equals a closed one: N(u) = N[v] puts v in N(u), so
-    u in N(v) and in N(u)."""
-    first, out = {}, []
-    for v, b in enumerate(G.bits):
-        r = first.get(b, first.get(b | 1 << v))
-        if r is not None:
+    permutation of each twin class."""
+    out = []
+    for v, r in enumerate(_twin_classes(G.bits)):
+        if r != v:
             gamma = list(range(G.n))
             gamma[r], gamma[v] = v, r
             out.append(gamma)
-        first.setdefault(b, v)
-        first.setdefault(b | 1 << v, v)
     return out
 
 

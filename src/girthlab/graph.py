@@ -89,6 +89,19 @@ class Graph:
     def edges(self) -> list:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
+    def mask(self, vertices) -> int:
+        """Bitmask of a vertex set; ValueError if it holds a non-vertex."""
+        mask = 0
+        try:
+            for v in vertices:
+                mask |= 1 << v
+        except ValueError:  # a negative shift count
+            mask = -1
+        if mask < 0 or mask >> self.n:
+            raise ValueError(
+                f"vertex set holds a vertex outside 0..{self.n - 1}")
+        return mask
+
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
@@ -497,9 +510,8 @@ def e_between(G: Graph, S, T) -> int:
 
     S and T may overlap; e_between(G, V, V) equals 2*m.
     """
-    t_mask = 0
-    for t in T:
-        t_mask |= 1 << t
+    t_mask = G.mask(T)
+    G.mask(S)  # only to reject a non-vertex
     total = 0
     for s in set(S):
         total += (G.bits[s] & t_mask).bit_count()
@@ -521,27 +533,14 @@ def _greedy_clique(G: Graph) -> list:
     return best
 
 
-def _dsatur_greedy(G: Graph) -> int:
-    n = G.n
-    color = [-1] * n
-    sat = [0] * n  # bitmask of neighbor colors
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if color[u] == -1),
-            key=lambda u: (sat[u].bit_count(), G.degree(u), -u),
-        )
-        c = 0
-        while (sat[v] >> c) & 1:
-            c += 1
-        color[v] = c
-        for w in G.adj[v]:
-            sat[w] |= 1 << c
-    return max(color) + 1 if n else 0
-
-
 def chromatic_number(G: Graph, budget=None) -> int:
     """Exact chromatic number by saturation-ordered branch and bound with a
-    greedy clique lower bound. Guarded to n <= 64."""
+    greedy clique lower bound. Guarded to n <= 64.
+
+    The search starts with no upper bound, so its first descent is the
+    DSATUR greedy colouring (each vertex takes its smallest free colour),
+    and that colouring sets the first upper bound. Its nodes count against
+    the budget."""
     if G.n > 64:
         raise ValueError("chromatic_number is guarded to n <= 64")
     if G.n == 0:
@@ -551,12 +550,9 @@ def chromatic_number(G: Graph, budget=None) -> int:
     if is_bipartite(G):
         return 2
     lower = max(len(_greedy_clique(G)), 3)
-    upper = _dsatur_greedy(G)
-    if lower == upper:
-        return lower
     limit = cycle_budget(budget)
     n = G.n
-    best = upper
+    best = n + 1
     color = [-1] * n
     neighbor_colors = [0] * n
     nodes = 0
@@ -577,8 +573,9 @@ def chromatic_number(G: Graph, budget=None) -> int:
             (u for u in range(n) if color[u] == -1),
             key=lambda u: (neighbor_colors[u].bit_count(), G.degree(u), -u),
         )
-        cap = min(used + 1, best - 1)
-        for c in range(cap):
+        for c in range(used + 1):
+            if c >= best - 1:  # c would colour no better than the best
+                break
             if (neighbor_colors[v] >> c) & 1:
                 continue
             color[v] = c

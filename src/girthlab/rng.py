@@ -78,3 +78,9 @@ class XorShift64Star:
                 mask |= 1 << i
         self.state = x
         return mask
+
+    def sample(self, pool) -> list:
+        """The elements of pool kept by ``sample_mask(len(pool))``, in
+        order."""
+        mask = self.sample_mask(len(pool))
+        return [v for i, v in enumerate(pool) if (mask >> i) & 1]

@@ -126,9 +126,7 @@ from .formats import graph6_encode
 from .geometry import augment_distance_two, gq_w3, incidence_graph
 from .graph import Graph, cycle_spectrum, relabel
 from .rng import XorShift64Star
-from .walks import BoundReport
-
-FLOAT_SLACK = 1e-9
+from .walks import FLOAT_SLACK, BoundReport
 
 
 @dataclass(frozen=True)

@@ -202,18 +202,11 @@ def _is_regular(G: Graph):
     return degs.pop() if len(degs) == 1 else None
 
 
-def check_mixing_regular(G: Graph, S, T, summary: SpectralSummary = None) -> MixingReport:
-    """Regular-graph mixing: |e(S,T) - (d/n)|S||T|| <= lam*sqrt(|S||T|)."""
-    d = _is_regular(G)
-    if d is None:
-        raise NotRegular("mixing bound needs a regular graph")
-    if summary is None:
-        summary = spectral_summary(G, bipartite=False)
-    S, T = set(S), set(T)
+def _mixing_report(G: Graph, S: set, T: set, degree, bound: float) -> MixingReport:
+    """|e(S,T) - (degree/n)|S||T|| against ``bound``."""
     est = e_between(G, S, T)
-    expected = d / G.n * len(S) * len(T)
+    expected = degree / G.n * len(S) * len(T)
     deviation = abs(est - expected)
-    bound = summary.lam * math.sqrt(len(S) * len(T))
     return MixingReport(
         e_st=est,
         expected=expected,
@@ -222,6 +215,17 @@ def check_mixing_regular(G: Graph, S, T, summary: SpectralSummary = None) -> Mix
         holds=deviation <= bound + BOUND_SLACK,
         set_sizes=(len(S), len(T)),
     )
+
+
+def check_mixing_regular(G: Graph, S, T, summary: SpectralSummary = None) -> MixingReport:
+    """Regular-graph mixing: |e(S,T) - (d/n)|S||T|| <= lam*sqrt(|S||T|)."""
+    d = _is_regular(G)
+    if d is None:
+        raise NotRegular("mixing bound needs a regular graph")
+    if summary is None:
+        summary = spectral_summary(G, bipartite=False)
+    S, T = set(S), set(T)
+    return _mixing_report(G, S, T, d, summary.lam * math.sqrt(len(S) * len(T)))
 
 
 def check_mixing_bipartite(
@@ -242,18 +246,7 @@ def check_mixing_bipartite(
         raise PartViolation("T must lie inside part Y")
     if summary is None:
         summary = spectral_summary(G, bipartite=True)
-    est = e_between(G, S, T)
-    expected = 2 * d / G.n * len(S) * len(T)
-    deviation = abs(est - expected)
-    bound = summary.lam * (len(S) + len(T)) / 2
-    return MixingReport(
-        e_st=est,
-        expected=expected,
-        deviation=deviation,
-        bound=bound,
-        holds=deviation <= bound + BOUND_SLACK,
-        set_sizes=(len(S), len(T)),
-    )
+    return _mixing_report(G, S, T, 2 * d, summary.lam * (len(S) + len(T)) / 2)
 
 
 def check_mixing_near_regular(
@@ -293,18 +286,8 @@ def check_mixing_near_regular(
     x_set, y_set = set(G.part_x), set(G.part_y)
     if not S <= x_set or not T <= y_set:
         raise PartViolation("S must lie in X and T in Y")
-    est = e_between(G, S, T)
-    expected = 2 * d / G.n * len(S) * len(T)
-    deviation = abs(est - expected)
-    bound = (4.0 * alpha * d + summary.lam / 2.0) * G.n
-    return MixingReport(
-        e_st=est,
-        expected=expected,
-        deviation=deviation,
-        bound=bound,
-        holds=deviation <= bound + BOUND_SLACK,
-        set_sizes=(len(S), len(T)),
-    )
+    return _mixing_report(G, S, T, 2 * d,
+                          (4.0 * alpha * d + summary.lam / 2.0) * G.n)
 
 
 @dataclass(frozen=True)
@@ -334,16 +317,16 @@ def pseudorandomness_report(
         raise NotBipartite("pseudorandomness_report needs a BipartiteGraph")
     if not G.part_x or not G.part_y:
         raise EmptyPart("both parts must be nonempty")
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     rng = XorShift64Star(seed)
     d = float(G.average_degree())
     scale = G.n ** (1.0 + 1.0 / ell)
     devs = []
     xs, ys = G.part_x, G.part_y
     for _ in range(samples):
-        s_mask = rng.sample_mask(len(xs))
-        t_mask = rng.sample_mask(len(ys))
-        S = [v for i, v in enumerate(xs) if (s_mask >> i) & 1]
-        T = [v for i, v in enumerate(ys) if (t_mask >> i) & 1]
+        S = rng.sample(xs)
+        T = rng.sample(ys)
         est = e_between(G, S, T)
         devs.append(abs(est - 2 * d / G.n * len(S) * len(T)))
     if not devs:

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import EpsilonOutOfRange
-from .graph import BipartiteGraph, Graph, e_between, neighborhood_layers
-from .walks import BoundReport, paths_from_each_vertex
+from .graph import BipartiteGraph, Graph, neighborhood_layers
+from .walks import FLOAT_SLACK, BoundReport, paths_from_each_vertex
 
 
 def truncate_degrees(G: Graph, delta: int) -> tuple:
@@ -117,21 +117,21 @@ def check_degree_outlier_bound(G: Graph, B, eps: float) -> BoundReport:
     """
     if not 0 < eps < math.sqrt(3):
         raise EpsilonOutOfRange("need 0 < eps < sqrt(3)")
-    B = set(B)
-    b_mask = 0
-    for v in B:
-        b_mask |= 1 << v
-    threshold = (1 + eps) * math.sqrt(len(B))
-    S = [v for v in range(G.n)
-         if (G.bits[v] & b_mask).bit_count() >= threshold]
-    lhs = e_between(G, S, B)
-    rhs = 2 * len(B) / eps
+    b_mask = G.mask(B)
+    size = b_mask.bit_count()
+    threshold = (1 + eps) * math.sqrt(size)
+    # edges into B, counted once per vertex, of the vertices of S: those
+    # with at least the threshold of them
+    into_b = [k for k in ((bits & b_mask).bit_count() for bits in G.bits)
+              if k >= threshold]
+    lhs = sum(into_b)
+    rhs = 2 * size / eps
     return BoundReport(
         check="degree-outlier-endpoints",
         lhs=lhs,
         rhs=rhs,
-        holds=lhs <= rhs + 1e-9,
-        note=f"|S| = {len(S)}, |B| = {len(B)}, eps = {eps}",
+        holds=lhs <= rhs + FLOAT_SLACK,
+        note=f"|S| = {len(into_b)}, |B| = {size}, eps = {eps}",
     )
 
 
@@ -169,7 +169,7 @@ def high_degree_edge_fraction(G: Graph, eps: float) -> OutlierReport:
         sqrt_threshold=t_sqrt,
         edges_at_sqrt_outliers=at_sqrt,
         sqrt_bound=2 * n / eps,
-        holds_sqrt=at_sqrt <= 2 * n / eps + 1e-9,
+        holds_sqrt=at_sqrt <= 2 * n / eps + FLOAT_SLACK,
         mean_threshold=t_mean,
         edges_at_mean_outliers=at_mean,
         fraction_at_mean_outliers=(at_mean / G.m) if G.m else 0.0,

@@ -55,6 +55,7 @@ from .search import (
     zarankiewicz_number,
 )
 from .spectral import (
+    adjacency_matrix,
     check_mixing_bipartite,
     check_mixing_near_regular,
     check_mixing_regular,
@@ -64,6 +65,7 @@ from .spectral import (
 )
 from .stability import check_degree_outlier_bound, high_degree_edge_fraction
 from .walks import (
+    FLOAT_SLACK,
     blakley_roy_bound,
     check_closed_walk_bound,
     check_hoory_bipartite,
@@ -181,19 +183,14 @@ def _tally(name, ref, instance, violations, checked, op=None) -> CheckRecord:
                 f"checked={checked}", violations == 0, op=op)
 
 
-def _sample_vertices(rng: XorShift64Star, pool) -> list:
-    mask = rng.sample_mask(len(pool))
-    return [v for i, v in enumerate(pool) if (mask >> i) & 1]
-
-
 def _mixing_violations(rng: XorShift64Star, xs, ys, pairs: int,
                        check) -> int:
     """Failures of check(S, T) over `pairs` draws of S from xs, then T from
     ys."""
     fails = 0
     for _ in range(pairs):
-        S = _sample_vertices(rng, xs)
-        T = _sample_vertices(rng, ys)
+        S = rng.sample(xs)
+        T = rng.sample(ys)
         fails += not check(S, T).holds
     return fails
 
@@ -290,7 +287,7 @@ def geometry_suite(seed: int, budget=None) -> list:
         checked = 0
         for g in c4_free:
             for _ in range(50):
-                B = _sample_vertices(rng, range(g.n))
+                B = rng.sample(range(g.n))
                 if not B:
                     continue
                 rep = check_degree_outlier_bound(g, B, eps)
@@ -415,10 +412,7 @@ def spectral_suite(seed: int, budget=None) -> list:
                         "plane-incidence-q2", hw_summary.lam, math.sqrt(2),
                         abs(hw_summary.lam - math.sqrt(2)) <= 1e-6))
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    eig = eigenvalues_symmetric(
-        [[1.0 if c4.has_edge(i, j) else 0.0 for j in range(4)]
-         for i in range(4)]
-    )
+    eig = eigenvalues_symmetric(adjacency_matrix(c4))
     records.append(_rec("eigen-fixture", "4-cycle spectrum", "C4",
                         [round(x, 9) for x in eig], [2.0, 0.0, 0.0, -2.0],
                         max(abs(a - b) for a, b in
@@ -535,7 +529,7 @@ def search_suite(seed: int, budget=None) -> list:
         for b in range(a, 8):
             r = zarankiewicz_ab(a, b, fam_c4, budget=budget)
             checked += 1
-            bound_fail += r.value > (a * b) ** 0.75 + max(a, b) + 1e-9
+            bound_fail += r.value > (a * b) ** 0.75 + max(a, b) + FLOAT_SLACK
     records.append(_tally("unbalanced-z-table",
                           "unbalanced Zarankiewicz bound",
                           "2<=a<=b<=7 no-C4", bound_fail, checked))
@@ -565,7 +559,7 @@ def search_suite(seed: int, budget=None) -> list:
     bound = (q_real + 1) * 30 / 2
     records.append(_rec("construction-meets-bound", "polygon edge equality",
                         "n=30 no-C4,C6", lower.value, bound,
-                        abs(lower.value - bound) <= 1e-9))
+                        abs(lower.value - bound) <= FLOAT_SLACK))
     for q in (2, 3):
         _, rep = discrepancy_witness(3, q, budget=budget)
         records.append(_rec("augmented-witness", "one-edge discrepancy",

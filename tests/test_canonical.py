@@ -10,7 +10,7 @@ from girthlab import canonical
 from girthlab.canonical import (
     _NODE_CAP,
     _CanonSearch,
-    _twin_representatives,
+    _twin_classes,
     are_isomorphic,
     canonical_graph,
     canonical_key,
@@ -353,6 +353,37 @@ def _refine(n: int, bits: tuple, colors: list) -> list:
         if len(order) == ncolors:
             return colors
         ncolors = len(order)
+
+
+def _twin_representatives(candidates: list, bits: tuple) -> list:
+    """Reference: the candidates with no twin earlier in the list, by the
+    pairwise rule (equal neighbourhoods outside the pair)."""
+    reps = []
+    for v in candidates:
+        vb = bits[v]
+        is_dup = False
+        for r in reps:
+            mask = ~((1 << v) | (1 << r))
+            if (vb & mask) == (bits[r] & mask):
+                is_dup = True
+                break
+        if not is_dup:
+            reps.append(v)
+    return reps
+
+
+@given(small_graph(max_n=12), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_twin_classes_pick_the_pairwise_representatives(g, rnd):
+    """The twin classes, computed once per graph, keep the candidates that
+    the pairwise rule keeps, for any candidate list in any order."""
+    twin = _twin_classes(g.bits)
+    candidates = [v for v in range(g.n) if rnd.random() < 0.7]
+    rnd.shuffle(candidates)
+    reps = {}
+    for v in candidates:
+        reps.setdefault(twin[v], v)
+    assert list(reps.values()) == _twin_representatives(candidates, g.bits)
 
 
 class _ColourListSearch(_CanonSearch):

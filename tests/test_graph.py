@@ -13,6 +13,7 @@ from girthlab.geometry import (augment_distance_two, gq_w3, incidence_graph,
                                polarity_graph)
 from girthlab.graph import (
     BipartiteGraph,
+    _greedy_clique,
     Graph,
     bipartition,
     chromatic_number,
@@ -276,6 +277,73 @@ class TestPeel:
         assert tuple(sorted(alive)) == res.kept
 
 
+def _dsatur_greedy(g):
+    """Reference: the DSATUR greedy colour count."""
+    n = g.n
+    color = [-1] * n
+    sat = [0] * n  # bitmask of neighbor colors
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if color[u] == -1),
+            key=lambda u: (sat[u].bit_count(), g.degree(u), -u),
+        )
+        c = 0
+        while (sat[v] >> c) & 1:
+            c += 1
+        color[v] = c
+        for w in g.adj[v]:
+            sat[w] |= 1 << c
+    return max(color) + 1 if n else 0
+
+
+def _greedy_then_branch_and_bound(g):
+    """Reference: the chromatic number by a greedy upper bound, then a
+    branch and bound started from it."""
+    if g.n == 0:
+        return 0
+    if g.m == 0:
+        return 1
+    if is_bipartite(g):
+        return 2
+    lower = max(len(_greedy_clique(g)), 3)
+    best = _dsatur_greedy(g)
+    if lower == best:
+        return lower
+    n = g.n
+    color = [-1] * n
+    neighbor_colors = [0] * n
+
+    def bnb(colored, used):
+        nonlocal best
+        if used >= best:
+            return
+        if colored == n:
+            best = used
+            return
+        v = max(
+            (u for u in range(n) if color[u] == -1),
+            key=lambda u: (neighbor_colors[u].bit_count(), g.degree(u), -u),
+        )
+        for c in range(min(used + 1, best - 1)):
+            if (neighbor_colors[v] >> c) & 1:
+                continue
+            color[v] = c
+            touched = []
+            for w in g.adj[v]:
+                if not (neighbor_colors[w] >> c) & 1:
+                    neighbor_colors[w] |= 1 << c
+                    touched.append(w)
+            bnb(colored + 1, max(used, c + 1))
+            color[v] = -1
+            for w in touched:
+                neighbor_colors[w] &= ~(1 << c)
+            if best <= lower:
+                return
+
+    bnb(0, 0)
+    return best
+
+
 class TestChromatic:
     def brute_force_colorable(self, g, k):
         for assign in itertools.product(range(k), repeat=g.n):
@@ -294,6 +362,15 @@ class TestChromatic:
         chi = chromatic_number(g)
         assert not self.brute_force_colorable(g, chi - 1)
         assert self.brute_force_colorable(g, chi)
+
+    def test_matches_greedy_then_branch_and_bound(self):
+        """Starting the search unbounded, so that its first descent is the
+        greedy colouring, gives the chromatic number that a separate greedy
+        pass and a search bounded by it give."""
+        cases = ([polarity_graph(q) for q in (2, 3, 4, 5)]
+                 + dense_corpus(60, 51) + walks_corpus(200, 42))
+        for g in cases:
+            assert chromatic_number(g) == _greedy_then_branch_and_bound(g)
 
     @given(graphs(max_n=8))
     @settings(max_examples=40, deadline=None)
@@ -315,6 +392,15 @@ class TestEBetween:
     def test_disjoint_nonadjacent(self):
         g = Graph(4, [(0, 1)])
         assert e_between(g, [2], [3]) == 0
+
+    def test_negative_vertex_rejected(self):
+        """-1 would index the last vertex and count the edge 3-2."""
+        with pytest.raises(ValueError, match="outside 0..3"):
+            e_between(path_graph(4), [-1], [2])
+
+    def test_vertex_beyond_n_rejected(self):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            e_between(path_graph(4), [7], [0])
 
     @given(graphs(max_n=9))
     @settings(max_examples=40, deadline=None)

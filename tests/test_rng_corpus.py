@@ -47,6 +47,14 @@ def test_sample_mask_bit_per_element():
             assert rng.next_u64() == twin.next_u64()
 
 
+def test_sample_keeps_the_masked_elements():
+    pool = tuple(range(100, 170))
+    rng, twin = XorShift64Star(23), XorShift64Star(23)
+    mask = twin.sample_mask(len(pool))
+    assert rng.sample(pool) == [v for i, v in enumerate(pool) if mask >> i & 1]
+    assert rng.state == twin.state
+
+
 def test_corpora_reproducible():
     assert [g.edges() for g in walks_corpus(10, 3)] == [
         g.edges() for g in walks_corpus(10, 3)

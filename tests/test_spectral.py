@@ -177,6 +177,10 @@ class TestPseudorandomness:
         rep = pseudorandomness_report(heawood, 0, 1)
         assert rep.samples == 0 and rep.normalized_max == 0.0
 
+    def test_ell_zero_rejected(self, heawood):
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            pseudorandomness_report(heawood, 10, 1, ell=0)
+
     def test_deterministic_given_seed(self, heawood):
         a = pseudorandomness_report(heawood, 50, 13)
         b = pseudorandomness_report(heawood, 50, 13)

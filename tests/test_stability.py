@@ -137,6 +137,13 @@ class TestDegreeOutliers:
         with pytest.raises(EpsilonOutOfRange):
             high_degree_edge_fraction(heawood, 0.0)
 
+    def test_vertices_outside_graph_rejected(self):
+        """Vertices 99..101 of a 4-vertex path are not vertices: they must
+        not count in |B|."""
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="outside 0..3"):
+            check_degree_outlier_bound(g, [0, 99, 100, 101], 0.5)
+
     def test_regular_graph_no_outliers(self, heawood):
         rep = high_degree_edge_fraction(heawood, 0.5)
         assert rep.edges_at_sqrt_outliers == 0 and rep.holds_sqrt
