@@ -19,6 +19,7 @@ import json
 import sys
 from collections import Counter
 
+from .budgets import node_budget
 from .errors import (
     BudgetExceeded,
     GirthlabError,
@@ -119,6 +120,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.overall_pass else EXIT_CHECK_FAILED
 
 
+def _budget_option(text: str) -> int:
+    try:
+        return node_budget(text, source="--budget")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from exc
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="girthlab",
@@ -141,7 +149,7 @@ def make_parser() -> argparse.ArgumentParser:
     pa.add_argument("path")
     pa.add_argument("--lmax", type=int, default=16,
                     help="cycle spectrum length cap (default 16)")
-    pa.add_argument("--budget", type=int, default=None,
+    pa.add_argument("--budget", type=_budget_option, default=None,
                     help="node budget of the cycle and chromatic searches")
     pa.add_argument("--out", default=None)
     pa.set_defaults(func=cmd_analyze)
@@ -149,7 +157,7 @@ def make_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=list(SUITES))
     pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--budget", type=int, default=None)
+    pv.add_argument("--budget", type=_budget_option, default=None)
     pv.add_argument("--timing", action="store_true",
                     help="include wall time in the report (breaks "
                          "byte-for-byte reproducibility)")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import or_
 
-from .budgets import cycle_budget
+from .budgets import DEFAULT_CYCLE_BUDGET, node_budget
 from .errors import BudgetExceeded, NotBipartite
 
 INFINITE = math.inf
@@ -346,7 +346,7 @@ def cycle_spectrum(G: Graph, lmax: int, budget=None) -> frozenset:
     lmax = min(lmax, G.n)
     if lmax < 3:
         return frozenset()
-    limit = cycle_budget(budget)
+    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
     found, spent = _cycle_lengths(G, range(3, lmax + 1), limit)
     if spent > limit:
         raise _over_budget(G, lmax, limit)
@@ -356,7 +356,7 @@ def cycle_spectrum(G: Graph, lmax: int, budget=None) -> frozenset:
 def _cycle_test(G: Graph, budget):
     """has(k): whether G has a cycle of length exactly k. The calls share one
     budget, and bipartiteness, which rules out odd k, is computed once."""
-    limit = cycle_budget(budget)
+    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
     spent = 0
     bipartite = None
 
@@ -550,7 +550,7 @@ def chromatic_number(G: Graph, budget=None) -> int:
     if is_bipartite(G):
         return 2
     lower = max(len(_greedy_clique(G)), 3)
-    limit = cycle_budget(budget)
+    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
     n = G.n
     best = n + 1
     color = [-1] * n

@@ -94,20 +94,24 @@ and the size prune skips a size only when full rows would stay strictly
 below best. For r <= c, z(r, c) >= z(r, c-1) + 1 and
 z(r, r) >= z(r-1, r) + 1, because a new vertex joined to one vertex of the
 other part is pendant: it lies on no cycle and adds one edge. So
-zarankiewicz_ab walks the staircase (1, 1), (1, 2), (2, 2), (2, 3), ...,
-(r, r), ..., (r, c) in a loop. Every shape, (r, c) included, is the same
-search, under the value of the shape before it + 1, and that shape's first
-tie (the first configuration found at its value), padded by a pendant
-vertex, witnesses the floor; only the ties of (r, c) are labeled. A floor
+zarankiewicz_ab and zarankiewicz_number are one walk over a list of shapes
+under one node budget. The final shapes are (a, b) for z(a, b), and for
+z(n) the part splits from the balanced one towards the most unbalanced,
+whose largest value is z(n). Below the first final shape (r, c) the walk
+climbs the staircase (1, 1), (1, 2), (2, 2), (2, 3), ..., (r, r), ...,
+(r, c - 1). Every shape is the same search. After a staircase step the
+floor is its value + 1, and its first tie (the first configuration found
+at its value), padded by a pendant vertex, witnesses that floor. A floor
 with a witness is attained, so a search that completes without reaching it
-has lost a configuration and raises. The nodes and the budget cover every
-shape. A search its budget stops in (r, c) reports the ties it has; stopped
-below, or before it reaches its floor, it reports the first tie it knows
-padded to the requested parts. An empty part or a family without even
-lengths gets no floor. zarankiewicz_number searches the balanced split
-first, under its staircase, and then the splits towards the most
-unbalanced, each under the best split value so far: a split that finds
-nothing there is below the best and adds no witness.
+has lost a configuration and raises. After a final shape the floor is the
+best value so far, with no witness: a later split that finds nothing there
+is below the best, and its labeled ties replace the witnesses when they
+beat it and join them when they tie it. Only the ties of final shapes are
+labeled. The nodes and the budget cover every shape. A search its budget
+stops reports the running final shape's ties, joined as above; without
+them, the first tie it knows on the staircase padded to the first final
+shape; without that, the earlier final shapes, and before any, the empty
+graph. An empty part or a family without even lengths gets no staircase.
 
 Every certificate records whether the search completed; truncated runs are
 lower bounds only and are never reported as exact.
@@ -119,7 +123,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .budgets import search_budget
+from .budgets import node_budget
 from .canonical import canonical_graph, canonical_labeling, twin_transpositions
 from .errors import BudgetExceeded, UnsupportedInstance
 from .formats import graph6_encode
@@ -397,28 +401,25 @@ class _TuranSearch:
 
 def _result(kind, instance, family, value, labeled, nodes, t0, completed):
     """The result a search reached: exact when it completed, a lower bound
-    when its budget stopped it."""
+    when its budget stopped it. Before the search records anything
+    (value < 0), the empty graph certifies the value 0. Graphs labeled
+    apart, as in two part splits of z(n), may have one encoding; it is kept
+    once."""
+    if value < 0:
+        empty = Graph(sum(instance))
+        value, labeled = 0, [(empty, canonical_labeling(empty)[1])]
     return SearchResult(
         kind=kind,
         instance=instance,
         family=family,
         value=value,
-        witnesses=tuple(sorted(graph6_encode(relabel(G, perm))
-                               for G, perm in labeled)),
+        witnesses=tuple(sorted({graph6_encode(relabel(G, perm))
+                                for G, perm in labeled})),
         nodes=nodes,
         wall_time=time.monotonic() - t0,
         completed=completed,
         note="" if completed else "budget-truncated",
     )
-
-
-def _reached(search, n_vertices) -> tuple:
-    """The value and labeled witnesses a search has recorded. Before it
-    records anything, the empty graph certifies the value 0."""
-    if search.best < 0:
-        empty = Graph(n_vertices)
-        return 0, [(empty, canonical_labeling(empty)[1])]
-    return search.best, search.labeled_witnesses()
 
 
 def turan_number(n: int, family: FamilySpec, budget=None,
@@ -432,15 +433,17 @@ def turan_number(n: int, family: FamilySpec, budget=None,
     if n < 0:
         raise ValueError("n must be >= 0")
     t0 = time.monotonic()
-    search = _TuranSearch(n, family, search_budget(budget), order_seed)
+    search = _TuranSearch(n, family, node_budget(budget), order_seed)
     try:
         search.run()
     except BudgetExceeded as exc:
-        exc.result = _result("turan", (n,), family, *_reached(search, n),
-                             search.nodes, t0, completed=False)
+        exc.result = _result("turan", (n,), family, search.best,
+                             search.labeled_witnesses(), search.nodes, t0,
+                             completed=False)
         raise
-    return _result("turan", (n,), family, *_reached(search, n),
-                   search.nodes, t0, completed=True)
+    return _result("turan", (n,), family, search.best,
+                   search.labeled_witnesses(), search.nodes, t0,
+                   completed=True)
 
 
 def _column_key(rows, cols_n: int) -> tuple:
@@ -499,6 +502,7 @@ class _ZarankiewiczSearch:
         self.order_seed = order_seed
         self.rows = []
         self.tied = {}
+        self.orders = {}
 
     def over_budget(self) -> BudgetExceeded:
         return BudgetExceeded(
@@ -557,6 +561,17 @@ class _ZarankiewiczSearch:
                 _conflicts(bits, self.even,
                            range(shift, shift + self.cols_n))]
 
+    def size_order(self, row_index, top) -> list:
+        """The sizes top, ..., 0 of the next row, shuffled by the order
+        seed and the row index: the same at every node with that row index
+        and top size, so built once per search."""
+        sizes = self.orders.get((row_index, top))
+        if sizes is None:
+            sizes = self.orders[row_index, top] = list(range(top, -1, -1))
+            if self.order_seed is not None:
+                XorShift64Star(self.order_seed + row_index).shuffle(sizes)
+        return sizes
+
     def search(self, used_cols, edges):
         self.nodes += 1
         if self.nodes > self.limit:
@@ -568,10 +583,8 @@ class _ZarankiewiczSearch:
         rows_left = self.rows_n - row_index
         prev = self.rows[-1] if self.rows else None
         conf = self.column_conflicts()
-        sizes = list(range(len(prev) if prev else self.cols_n, -1, -1))
-        if self.order_seed is not None:
-            XorShift64Star(self.order_seed + row_index).shuffle(sizes)
-        for s in sizes:
+        for s in self.size_order(row_index,
+                                 len(prev) if prev else self.cols_n):
             if s == 0:
                 # all remaining rows empty
                 self.record()
@@ -599,53 +612,56 @@ class _ZarankiewiczSearch:
                     self.rows.pop()
 
 
-def _zarankiewicz(a, b, family, limit, order_seed, floor=-1):
-    """z(a, b) by the row search, within limit nodes. Without a floor it
-    walks the staircase up to (a, b): every shape is the same search, under
-    the value of the shape before it + 1, and that shape's first tie, padded
-    by a pendant vertex, witnesses the floor. A floor of 0 or more is the
-    value of another split, with no witness here: when nothing reaches it
-    the result holds that value and no witness."""
+def _zarankiewicz(kind, instance, family, budget, order_seed, finals):
+    """The largest value of the final shapes by the row search, walked in
+    order under one node budget, with the staircase below the first one
+    (the module docstring's floors)."""
     t0 = time.monotonic()
-    r, c = sorted((a, b))
-    shapes = [(a, b)]
-    # an empty part or a family without even lengths needs no floor
-    if floor < 0 and r and family.even_lengths:
-        shapes[:0] = _staircase(r, c)[:-1]
-    witness = None  # (rows, columns) of the last finished shape's first tie
-    spent = 0
-    try:
-        for shape in shapes:
-            search = _ZarankiewiczSearch(*shape, family, limit - spent,
-                                         order_seed, floor)
+    limit = node_budget(budget)
+    r, c = sorted(finals[0])
+    # an empty part or a family without even lengths needs no staircase
+    steps = _staircase(r, c)[:-1] if r and family.even_lengths else []
+    value, labeled = -1, []  # the best final shape so far and its ties
+    floor, witness = -1, None  # witness: (rows, columns) of the floor's tie
+    spent, stopped = 0, None
+    for index, shape in enumerate(steps + finals):
+        final = index >= len(steps)
+        search = _ZarankiewiczSearch(*shape, family, limit - spent,
+                                     order_seed, floor)
+        try:
             search.search(0, 0)
-            spent += search.nodes
-            if search.tied:
-                witness = next(iter(search.tied)), search.cols_n
-            elif witness:
+        except BudgetExceeded as exc:
+            stopped = exc
+        spent += search.nodes
+        if not search.tied:
+            if witness and not stopped:
                 raise RuntimeError(
                     f"row search z({search.a}, {search.b}; "
                     f"{family.describe()}) found nothing at its floor "
                     f"{floor}, which has a witness of this instance: a cut "
                     f"lost a configuration")
-            floor = search.best + 1
-    except BudgetExceeded as exc:
-        final = (search.rows_n, search.cols_n) == (r, c)
-        if search.tied and not final:
-            witness = next(iter(search.tied)), search.cols_n
-        if witness and not (final and search.tied):
-            # the best configuration known, padded to (r, c), bounds z below
-            G = _rows_graph(_pad_rows(*witness, r, c), r, c)
-            reached = G.m, [(G, canonical_labeling(G)[1])]
+        elif final:
+            # ties beating the best so far replace its witnesses; ties
+            # tying it join them
+            ties = search.labeled_witnesses()
+            labeled = ties if search.best > value else labeled + ties
+            value, witness = search.best, None
         else:
-            reached = _reached(search, a + b)
-        raise BudgetExceeded(
-            f"row search z({a}, {b}; {family.describe()}) exceeded its "
-            f"budget of {limit} search nodes",
-            _result("zarankiewicz_ab", (a, b), family, *reached,
-                    spent + search.nodes, t0, completed=False)) from exc
-    return _result("zarankiewicz_ab", (a, b), family,
-                   *_reached(search, a + b), spent, t0, completed=True)
+            witness = next(iter(search.tied)), search.cols_n
+        if stopped:
+            if witness:
+                # the best configuration known, padded to (r, c), bounds z
+                G = _rows_graph(_pad_rows(*witness, r, c), r, c)
+                value, labeled = G.m, [(G, canonical_labeling(G)[1])]
+            raise BudgetExceeded(
+                f"row search z({', '.join(map(str, instance))}; "
+                f"{family.describe()}) exceeded its budget of {limit} search "
+                f"nodes",
+                _result(kind, instance, family, value, labeled, spent, t0,
+                        completed=False)) from stopped
+        floor = value if final else search.best + 1
+    return _result(kind, instance, family, value, labeled, spent, t0,
+                   completed=True)
 
 
 def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
@@ -658,7 +674,8 @@ def zarankiewicz_ab(a: int, b: int, family: FamilySpec, budget=None,
     """
     if a < 0 or b < 0:
         raise ValueError("part sizes must be >= 0")
-    return _zarankiewicz(a, b, family, search_budget(budget), order_seed)
+    return _zarankiewicz("zarankiewicz_ab", (a, b), family, budget,
+                         order_seed, [(a, b)])
 
 
 def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
@@ -666,56 +683,17 @@ def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
     """Exact maximum edges of a family-free bipartite graph on n vertices,
     maximized over all part splits a + b = n.
 
-    One node budget covers all the splits: each split gets what the earlier
-    splits left of it. The balanced split is searched first, under its
-    staircase floor, and each later split under the best split value so
-    far: a split that finds nothing there adds no witness.
+    The splits are the final shapes of one walk under one node budget: the
+    balanced split first, under its staircase, and each later split under
+    the best split value so far, so a split that finds nothing there adds
+    no witness.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    t0 = time.monotonic()
-    limit = search_budget(budget)
     # a split with an empty part is searched only when no other exists
-    splits = range(n // 2, 0, -1) if n > 1 else [0]
-    results = []
-    try:
-        for a in splits:
-            spent = sum(r.nodes for r in results)
-            floor = max(r.value for r in results) if results else -1
-            results.append(_zarankiewicz(a, n - a, family, limit - spent,
-                                         order_seed, floor))
-    except BudgetExceeded as exc:
-        # the completed splits and the failing split's own partial result
-        # together bound z(n) from below
-        if exc.result is not None:
-            results.append(exc.result)
-        raise BudgetExceeded(
-            f"row search z({n}; {family.describe()}) exceeded its budget of "
-            f"{limit} search nodes",
-            _merge_splits(n, family, results, t0, completed=False,
-                          note="budget-truncated")) from exc
-    return _merge_splits(n, family, results, t0,
-                         completed=all(r.completed for r in results))
-
-
-def _merge_splits(n, family, results, t0, completed, note="") -> SearchResult:
-    """The best split value with the witnesses of every split attaining it;
-    the empty graph bounds the value below by 0."""
-    best = max([0] + [r.value for r in results])
-    witnesses = sorted(
-        {w for r in results if r.value == best for w in r.witnesses}
-    )
-    return SearchResult(
-        kind="zarankiewicz",
-        instance=(n,),
-        family=family,
-        value=best,
-        witnesses=tuple(witnesses),
-        nodes=sum(r.nodes for r in results),
-        wall_time=time.monotonic() - t0,
-        completed=completed,
-        note=note,
-    )
+    splits = [(a, n - a) for a in range(n // 2, 0, -1)] if n > 1 else [(0, n)]
+    return _zarankiewicz("zarankiewicz", (n,), family, budget, order_seed,
+                         splits)
 
 
 def solve_polygon_order(n: int, ell: int) -> float:

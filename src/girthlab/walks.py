@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .budgets import cycle_budget
+from .budgets import DEFAULT_CYCLE_BUDGET, node_budget
 from .errors import BudgetExceeded, EmptyPart, GirthTooSmall
 from .graph import BipartiteGraph, Graph, girth
 
@@ -169,7 +169,7 @@ def path_count(G: Graph, ell: int, budget=None) -> WalkCounts:
     _check_path_length(ell)
     if ell == 0:
         return WalkCounts(kind="path", length=0, total=G.n, n=G.n)
-    limit = cycle_budget(budget)
+    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
     counts = _paths_by_start(
         G, range(G.n), ell, limit,
         f"path count of length {ell} on a graph with {G.n} vertices "
@@ -185,7 +185,7 @@ def paths_from_vertex(G: Graph, start: int, ell: int, budget=None) -> int:
     _check_path_length(ell)
     if ell == 0:
         return 1
-    limit = cycle_budget(budget)
+    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
     return _paths_by_start(
         G, (start,), ell, limit,
         f"paths of length {ell} from vertex {start} on a graph with {G.n} "
@@ -198,7 +198,7 @@ def paths_from_each_vertex(G: Graph, ell: int, budget=None) -> list:
     _check_path_length(ell)
     if ell == 0:
         return [1] * G.n
-    limit = cycle_budget(budget)
+    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
     return _paths_by_start(
         G, range(G.n), ell, limit,
         f"paths of length {ell} from each vertex of a graph with {G.n} "

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from girthlab.cli import main
 from girthlab.formats import graph6_decode, graph6_encode
 from girthlab.graph import girth
@@ -102,6 +104,13 @@ class TestAnalyze:
         path.write_bytes(graph6_encode(heawood) + b"\n")
         assert main(["analyze", str(path), "--budget", "1"]) == 4
 
+    def test_negative_budget_exit_2(self, tmp_path, heawood, capsys):
+        path = tmp_path / "hw.g6"
+        path.write_bytes(graph6_encode(heawood) + b"\n")
+        assert main(["analyze", str(path), "--budget", "-1"]) == 2
+        assert "--budget must be a node count >= 0, got -1" in \
+            capsys.readouterr().err
+
     def test_budget_bounds_chromatic_number(self, tmp_path, grotzsch):
         """With no cycle spectrum to compute (--lmax 2), only the chromatic
         search of the Grötzsch graph can spend the budget."""
@@ -131,16 +140,45 @@ class TestVerifyCli:
                    "--out", str(tmp_path / "never.json")])
         assert rc == 4
 
+    def test_negative_budget_exit_2(self, tmp_path, capsys):
+        rc = main(["verify", "search", "--budget", "-1",
+                   "--out", str(tmp_path / "never.json")])
+        assert rc == 2
+        assert "--budget must be a node count >= 0, got -1" in \
+            capsys.readouterr().err
+
     def test_env_budget_override(self, monkeypatch):
-        from girthlab.budgets import cycle_budget, search_budget
+        from girthlab.budgets import (
+            DEFAULT_CYCLE_BUDGET, DEFAULT_SEARCH_BUDGET, node_budget)
 
         monkeypatch.setenv("GIRTHLAB_BUDGET", "12345")
-        assert cycle_budget() == 12345
-        assert search_budget() == 12345
-        assert cycle_budget(99) == 99
+        assert node_budget(None, DEFAULT_CYCLE_BUDGET) == 12345
+        assert node_budget() == 12345
+        assert node_budget(99, DEFAULT_CYCLE_BUDGET) == 99
         monkeypatch.delenv("GIRTHLAB_BUDGET")
-        assert cycle_budget() == 100_000_000
-        assert search_budget() == 1_000_000_000
+        assert node_budget(None, DEFAULT_CYCLE_BUDGET) == 100_000_000
+        assert node_budget() == DEFAULT_SEARCH_BUDGET == 1_000_000_000
+
+    def test_negative_budget_names_its_source(self, monkeypatch, tmp_path,
+                                              capsys):
+        from girthlab.budgets import node_budget
+        from girthlab.search import FamilySpec, zarankiewicz_ab
+
+        with pytest.raises(ValueError, match=r"^budget must be a node count "
+                           r">= 0, got -5$"):
+            zarankiewicz_ab(3, 3, FamilySpec.of(4), budget=-5)
+        monkeypatch.setenv("GIRTHLAB_BUDGET", "-5")
+        with pytest.raises(ValueError, match=r"^GIRTHLAB_BUDGET must be a "
+                           r"node count >= 0, got -5$"):
+            node_budget()
+        rc = main(["verify", "search", "--out", str(tmp_path / "never.json")])
+        assert rc == 2
+        assert "GIRTHLAB_BUDGET must be a node count >= 0, got -5" in \
+            capsys.readouterr().err
+        monkeypatch.setenv("GIRTHLAB_BUDGET", "lots")
+        with pytest.raises(ValueError, match=r"^GIRTHLAB_BUDGET must be a "
+                           r"node count >= 0, got lots$"):
+            node_budget()
 
     def test_subprocess_entry(self):
         rc, stdout, _ = run_cli("construct", "pg2", "2")

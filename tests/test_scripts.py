@@ -9,12 +9,16 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, budget=None):
+    """stdout of a script run with GIRTHLAB_BUDGET set to budget, or unset
+    when budget is None."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
     env.pop("GIRTHLAB_BUDGET", None)
+    if budget is not None:
+        env["GIRTHLAB_BUDGET"] = str(budget)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
                            *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -33,12 +37,31 @@ def test_zarankiewicz_table():
     assert row[2] == "9"
 
 
+def test_zarankiewicz_table_truncated():
+    """Under a budget of 40 nodes, z(4, 4) stops after 41 and prints its
+    lower bound, flagged."""
+    table = rows(run_script("zarankiewicz_table.py", "--max-side", "4",
+                            budget=40))
+    (row,) = [r for r in table if r[:2] == ["4", "4"]]
+    assert (row[2], row[4]) == ("7", "41")
+    assert row[-1] == "(budget-truncated!)"
+
+
 def test_turan_table():
     table = rows(run_script("turan_table.py", "--max-n", "6"))
     (row,) = [r for r in table if r[0] == "6"]
     # n, then value, nodes, seconds, truncation for each of three columns
     assert (row[1], row[9]) == ("7", "6")
     assert (row[4], row[8], row[12]) == ("no", "no", "no")
+
+
+def test_turan_table_truncated():
+    """Under a budget of 40 nodes every column stops at n = 7 after 41
+    nodes, and z(7; C4) prints its lower bound 6."""
+    table = rows(run_script("turan_table.py", "--max-n", "7", budget=40))
+    (row,) = [r for r in table if r[0] == "7"]
+    assert (row[9], row[10], row[12]) == ("6", "41", "yes")
+    assert (row[4], row[8]) == ("yes", "yes")
 
 
 def test_turan_table_ell_three():

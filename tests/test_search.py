@@ -6,12 +6,11 @@ and shortcuts of the production searches."""
 
 import functools
 import itertools
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from girthlab import search
+from girthlab import canonical, search
 from girthlab.canonical import (
     canonical_graph,
     canonical_key,
@@ -689,14 +688,165 @@ def test_rows_match_column_walk_reference(monkeypatch, lengths, order_seed):
         assert fast[:3] == walked[:3], (a, b)
 
 
+def _reference_result(kind, instance, family, value, labeled, nodes,
+                      completed):
+    return SearchResult(
+        kind=kind,
+        instance=instance,
+        family=family,
+        value=value,
+        witnesses=tuple(sorted(graph6_encode(relabel(G, perm))
+                               for G, perm in labeled)),
+        nodes=nodes,
+        wall_time=0.0,
+        completed=completed,
+        note="" if completed else "budget-truncated",
+    )
+
+
+def _reference_reached(run, n_vertices):
+    if run.best < 0:
+        empty = Graph(n_vertices)
+        return 0, [(empty, canonical_labeling(empty)[1])]
+    return run.best, run.labeled_witnesses()
+
+
+def _reference_z(a, b, family, limit, order_seed, floor=-1):
+    """Reference: z(a, b) as one split of the split-by-split driver. Without
+    a floor it walks the staircase up to (a, b); a floor of 0 or more is the
+    value of an earlier split, with no witness here."""
+    r, c = sorted((a, b))
+    shapes = [(a, b)]
+    if floor < 0 and r and family.even_lengths:
+        shapes[:0] = search._staircase(r, c)[:-1]
+    witness = None
+    spent = 0
+    try:
+        for shape in shapes:
+            run = search._ZarankiewiczSearch(*shape, family, limit - spent,
+                                             order_seed, floor)
+            run.search(0, 0)
+            spent += run.nodes
+            if run.tied:
+                witness = next(iter(run.tied)), run.cols_n
+            elif witness:
+                raise RuntimeError(
+                    f"row search z({run.a}, {run.b}; "
+                    f"{family.describe()}) found nothing at its floor "
+                    f"{floor}, which has a witness of this instance: a cut "
+                    f"lost a configuration")
+            floor = run.best + 1
+    except BudgetExceeded as exc:
+        final = (run.rows_n, run.cols_n) == (r, c)
+        if run.tied and not final:
+            witness = next(iter(run.tied)), run.cols_n
+        if witness and not (final and run.tied):
+            G = search._rows_graph(search._pad_rows(*witness, r, c), r, c)
+            reached = G.m, [(G, canonical_labeling(G)[1])]
+        else:
+            reached = _reference_reached(run, a + b)
+        raise BudgetExceeded(
+            f"row search z({a}, {b}; {family.describe()}) exceeded its "
+            f"budget of {limit} search nodes",
+            _reference_result("zarankiewicz_ab", (a, b), family, *reached,
+                              spent + run.nodes, completed=False)) from exc
+    return _reference_result("zarankiewicz_ab", (a, b), family,
+                             *_reference_reached(run, a + b), spent,
+                             completed=True)
+
+
+def _reference_merge(n, family, results, completed, note=""):
+    """The best split value with the witnesses of every split attaining it;
+    the empty graph bounds the value below by 0."""
+    best = max([0] + [r.value for r in results])
+    witnesses = sorted(
+        {w for r in results if r.value == best for w in r.witnesses})
+    return SearchResult(
+        kind="zarankiewicz",
+        instance=(n,),
+        family=family,
+        value=best,
+        witnesses=tuple(witnesses),
+        nodes=sum(r.nodes for r in results),
+        wall_time=0.0,
+        completed=completed,
+        note=note,
+    )
+
+
+def _reference_z_n(n, family, limit, order_seed):
+    """Reference: z(n) split by split, each split one _reference_z call on
+    what the earlier splits left of the budget, and the results merged."""
+    splits = range(n // 2, 0, -1) if n > 1 else [0]
+    results = []
+    try:
+        for a in splits:
+            spent = sum(r.nodes for r in results)
+            floor = max(r.value for r in results) if results else -1
+            results.append(_reference_z(a, n - a, family, limit - spent,
+                                        order_seed, floor))
+    except BudgetExceeded as exc:
+        if exc.result is not None:
+            results.append(exc.result)
+        raise BudgetExceeded(
+            f"row search z({n}; {family.describe()}) exceeded its budget of "
+            f"{limit} search nodes",
+            _reference_merge(n, family, results, completed=False,
+                             note="budget-truncated")) from exc
+    return _reference_merge(n, family, results,
+                            completed=all(r.completed for r in results))
+
+
+def _driver_outcome(call, budget):
+    """(value, witnesses, completed, nodes, note, message) of a call at a
+    budget, truncated or not; message is None when it completes."""
+    try:
+        res, message = call(budget), None
+    except BudgetExceeded as exc:
+        res, message = exc.result, str(exc)
+    return (res.value, res.witnesses, res.completed, res.nodes, res.note,
+            message)
+
+
+ORACLE_AB = ([(a, b) for a in range(1, 25) for b in range(a, 25)
+              if a * b <= 24] + [(0, 3), (4, 0), (4, 3), (6, 2)])
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+@pytest.mark.parametrize("lengths", [(4,), (4, 6), (6,)])
+def test_one_walk_matches_split_by_split_driver(lengths, order_seed):
+    """The one walk over staircase steps and final shapes gives z(a, b) and
+    z(n) exactly as the split-by-split driver did: value, witnesses,
+    completeness, nodes, note and the budget message, at budgets from 0 to
+    the full run's nodes."""
+    family = FamilySpec.of(*lengths)
+    cases = [(functools.partial(zarankiewicz_ab, a, b, family,
+                                order_seed=order_seed),
+              functools.partial(_reference_z, a, b, family,
+                                order_seed=order_seed))
+             for a, b in ORACLE_AB]
+    if lengths != (6,):
+        cases += [(functools.partial(zarankiewicz_number, n, family,
+                                     order_seed=order_seed),
+                   functools.partial(_reference_z_n, n, family,
+                                     order_seed=order_seed))
+                   for n in range(13)]
+    for walk, reference in cases:
+        full = walk().nodes
+        budgets = {0, 1, full // 6, full // 3, full // 2, 2 * full // 3,
+                   5 * full // 6, full - 1, full}
+        for budget in sorted(b for b in budgets if b >= 0):
+            assert _driver_outcome(walk, budget) == \
+                _driver_outcome(reference, budget), (walk.args, budget)
+
+
 def _unfloored(a, b, family, order_seed, cls=search._ZarankiewiczSearch):
     """z(a, b) by the row search with its floor off, as the public calls
     build their results."""
-    t0 = time.monotonic()
     run = cls(a, b, family, 10**9, order_seed)
     run.search(0, 0)
-    return search._result("zarankiewicz_ab", (a, b), family,
-                          *search._reached(run, a + b), run.nodes, t0, True)
+    return _reference_result("zarankiewicz_ab", (a, b), family,
+                             *_reference_reached(run, a + b), run.nodes, True)
 
 
 @pytest.mark.parametrize("order_seed", [None, 1])
@@ -718,7 +868,7 @@ def test_floors_match_unfloored_search(lengths, order_seed):
         res = zarankiewicz_number(n, family, order_seed=order_seed)
         splits = [_unfloored(a, n - a, family, order_seed)
                   for a in (range(1, n // 2 + 1) if n > 1 else [0])]
-        ref = search._merge_splits(n, family, splits, 0.0, completed=True)
+        ref = _reference_merge(n, family, splits, completed=True)
         assert (res.value, res.witnesses, res.completed) == (
             ref.value, ref.witnesses, True), n
 
@@ -773,10 +923,8 @@ class _UnorderedRowsZarankiewicz(search._ZarankiewiczSearch):
         rows_left = self.rows_n - row_index
         prev = self.rows[-1] if self.rows else None
         conf = self.column_conflicts()
-        sizes = list(range(len(prev) if prev else self.cols_n, -1, -1))
-        if self.order_seed is not None:
-            XorShift64Star(self.order_seed + row_index).shuffle(sizes)
-        for s in sizes:
+        for s in self.size_order(row_index,
+                                 len(prev) if prev else self.cols_n):
             if s == 0:
                 self.record()
                 continue
@@ -831,10 +979,8 @@ class _AnyFreshColumnsZarankiewicz(search._ZarankiewiczSearch):
         rows_left = self.rows_n - row_index
         prev = self.rows[-1] if self.rows else None
         conf = self.column_conflicts()
-        sizes = list(range(len(prev) if prev else self.cols_n, -1, -1))
-        if self.order_seed is not None:
-            XorShift64Star(self.order_seed + row_index).shuffle(sizes)
-        for s in sizes:
+        for s in self.size_order(row_index,
+                                 len(prev) if prev else self.cols_n):
             if s == 0:
                 self.record()
                 continue
@@ -871,6 +1017,48 @@ def test_fresh_column_rule_matches_any_fresh_columns(monkeypatch, lengths):
         anywhere = _outcome(call)
         monkeypatch.undo()
         assert fast[:3] == anywhere[:3], (a, b)
+
+
+class _ShuffledAtEveryNode(search._ZarankiewiczSearch):
+    """Reference: the size order built and shuffled afresh at every node."""
+
+    def size_order(self, row_index, top):
+        sizes = list(range(top, -1, -1))
+        if self.order_seed is not None:
+            XorShift64Star(self.order_seed + row_index).shuffle(sizes)
+        return sizes
+
+
+@pytest.mark.parametrize("order_seed", [None, 1, 42])
+def test_size_order_built_once_matches_every_node(monkeypatch, order_seed):
+    """Building each size order once per (row index, top size) leaves the
+    value, witnesses, completeness and node count, truncated or not."""
+    for call in [
+            functools.partial(zarankiewicz_ab, 5, 7, C4),
+            functools.partial(zarankiewicz_ab, 6, 6, FamilySpec.of(4, 6)),
+            functools.partial(zarankiewicz_number, 11, C4),
+            functools.partial(zarankiewicz_number, 11, C4, budget=300)]:
+        _against_reference(monkeypatch, "_ZarankiewiczSearch",
+                           _ShuffledAtEveryNode,
+                           functools.partial(call, order_seed=order_seed))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("call", [
+    functools.partial(zarankiewicz_ab, 3, 3, C4),
+    functools.partial(zarankiewicz_ab, 3, 3, C4, budget=5),
+    functools.partial(zarankiewicz_number, 6, C4),
+    functools.partial(zarankiewicz_number, 6, C4, budget=10)])
+def test_canonical_cap_reaches_the_caller_unchanged(monkeypatch, call):
+    """When labeling the witnesses hits the canonical search's tree-node
+    cap, z(a, b) and z(n) raise that error as it is: it names the labeling
+    and its cap, not the row search's budget, and carries no result."""
+    monkeypatch.setattr(canonical, "_NODE_CAP", 3)
+    with pytest.raises(BudgetExceeded, match=r"^canonical search of a graph "
+                       r"on 6 vertices exceeded its cap of 3 tree nodes$") \
+            as err:
+        call()
+    assert err.value.result is None
 
 
 @pytest.mark.parametrize("name", ["_ZarankiewiczSearch"])
@@ -1002,7 +1190,7 @@ def test_truncated_z_keeps_completed_splits(monkeypatch, from_env):
     that budget is passed in or read from GIRTHLAB_BUDGET."""
     def split(a, budget, done):
         floor = max(r.value for r in done) if done else -1
-        return search._zarankiewicz(a, 10 - a, C4, budget, None, floor)
+        return _reference_z(a, 10 - a, C4, budget, None, floor)
 
     full = []
     for a in (5, 4, 3):
