@@ -110,8 +110,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_verify(args.suite, seed=args.seed, budget=args.budget,
-                        timing=args.timing)
+    report = run_verify(args.suite, seed=args.seed, budget=args.budget)
     _write(report.to_json().encode(), args.out)
     failed = [r for r in report.records if r.holds is False]
     for fail in failed:
@@ -158,9 +157,6 @@ def make_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=list(SUITES))
     pv.add_argument("--seed", type=int, default=42)
     pv.add_argument("--budget", type=_budget_option, default=None)
-    pv.add_argument("--timing", action="store_true",
-                    help="include wall time in the report (breaks "
-                         "byte-for-byte reproducibility)")
     pv.add_argument("--out", default=None)
     pv.set_defaults(func=cmd_verify)
     return parser

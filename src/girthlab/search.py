@@ -124,7 +124,7 @@ import time
 from dataclasses import dataclass, field
 
 from .budgets import node_budget
-from .canonical import canonical_graph, canonical_labeling, twin_transpositions
+from .canonical import canonical_labeling, twin_transpositions
 from .errors import BudgetExceeded, UnsupportedInstance
 from .formats import graph6_encode
 from .geometry import augment_distance_two, gq_w3, incidence_graph
@@ -140,14 +140,18 @@ class FamilySpec:
     lengths: frozenset
 
     def __post_init__(self):
-        if not self.lengths:
+        lengths = frozenset(self.lengths)
+        if not lengths:
             raise ValueError("forbidden family must be nonempty")
-        if any(length < 3 for length in self.lengths):
-            raise ValueError("cycle lengths must be >= 3")
+        for x in lengths:
+            if not isinstance(x, int) or x < 3:
+                raise ValueError(
+                    f"cycle lengths must be integers >= 3, got {x!r}")
+        object.__setattr__(self, "lengths", lengths)
 
     @staticmethod
     def of(*lengths) -> "FamilySpec":
-        return FamilySpec(frozenset(int(x) for x in lengths))
+        return FamilySpec(frozenset(lengths))
 
     @staticmethod
     def even_cycles(ell: int) -> "FamilySpec":
@@ -202,22 +206,6 @@ class SearchResult:
     wall_time: float
     completed: bool
     note: str = ""
-
-    @staticmethod
-    def from_witness(kind: str, instance: tuple, family: FamilySpec,
-                     G: Graph, note: str = "") -> "SearchResult":
-        """Lower-bound certificate from an explicit family-free graph."""
-        return SearchResult(
-            kind=kind,
-            instance=instance,
-            family=family,
-            value=G.m,
-            witnesses=(graph6_encode(canonical_graph(G)),),
-            nodes=0,
-            wall_time=0.0,
-            completed=False,
-            note=note or "constructed lower bound, no exhaustive search",
-        )
 
 
 def _conflicts(bits: tuple, lengths, starts) -> list:

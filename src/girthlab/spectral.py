@@ -317,6 +317,8 @@ def pseudorandomness_report(
         raise NotBipartite("pseudorandomness_report needs a BipartiteGraph")
     if not G.part_x or not G.part_y:
         raise EmptyPart("both parts must be nonempty")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     rng = XorShift64Star(seed)

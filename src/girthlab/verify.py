@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from . import __version__
 from .canonical import canonical_graph
@@ -46,7 +47,6 @@ from .graph import (
 from .rng import XorShift64Star
 from .search import (
     FamilySpec,
-    SearchResult,
     discrepancy_witness,
     solve_polygon_order,
     turan_number,
@@ -108,18 +108,16 @@ class CheckRecord:
 
 @dataclass
 class RunReport:
-    command: str
     suite: str
     seed: int
     budget: int | None
     records: list
     coverage: list
     overall_pass: bool
-    wall_time_s: float | None = None
 
     def to_json(self) -> str:
         payload = {
-            "command": self.command,
+            "command": "verify",
             "suite": self.suite,
             "seed": self.seed,
             "budget": self.budget,
@@ -143,7 +141,7 @@ class RunReport:
                 "diagnostics": sum(1 for r in self.records if r.holds is None),
             },
             "overall_pass": self.overall_pass,
-            "wall_time_s": self.wall_time_s,
+            "wall_time_s": None,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -176,32 +174,37 @@ def _rec(name, ref, instance, lhs, rhs, holds, op=None) -> CheckRecord:
     )
 
 
-def _tally(name, ref, instance, violations, checked, op=None) -> CheckRecord:
-    """Record of a check run over `checked` cases, `violations` of which
-    failed; it holds when none did."""
+def _eq(name, ref, instance, lhs, rhs) -> CheckRecord:
+    """Record asserting lhs == rhs."""
+    return _rec(name, ref, instance, lhs, rhs, lhs == rhs)
+
+
+def _tally(name, ref, instance, verdicts, op=None) -> CheckRecord:
+    """Record of a check over the cases whose verdicts (booleans) the
+    iterable yields; it holds when none failed."""
+    violations = checked = 0
+    for v in verdicts:
+        checked += 1
+        violations += not v
     return _rec(name, ref, instance, f"violations={violations}",
                 f"checked={checked}", violations == 0, op=op)
 
 
-def _mixing_violations(rng: XorShift64Star, xs, ys, pairs: int,
-                       check) -> int:
-    """Failures of check(S, T) over `pairs` draws of S from xs, then T from
+def _mixing_verdicts(rng: XorShift64Star, xs, ys, pairs: int, check):
+    """Verdicts of check(S, T) over `pairs` draws of S from xs, then T from
     ys."""
-    fails = 0
     for _ in range(pairs):
         S = rng.sample(xs)
         T = rng.sample(ys)
-        fails += not check(S, T).holds
-    return fails
+        yield check(S, T).holds
 
 
 # generalized-polygon incidence graphs: name prefix, field orders q,
-# point-line incidence structure, vertex count, girth
+# point-line incidence structure, and ell; each graph has
+# 2(q^ell + ... + q + 1) vertices and girth 2*ell + 2
 _POLYGONS = (
-    ("plane-incidence", (2, 3, 4, 5), pg2_incidence,
-     lambda q: 2 * (q * q + q + 1), 6),
-    ("quadrangle-incidence", (2, 3), gq_w3,
-     lambda q: 2 * (q**3 + q**2 + q + 1), 8),
+    ("plane-incidence", (2, 3, 4, 5), pg2_incidence, 2),
+    ("quadrangle-incidence", (2, 3), gq_w3, 3),
 )
 _POLARITY_ORDERS = (2, 3, 4, 5)
 
@@ -209,7 +212,7 @@ _POLARITY_ORDERS = (2, 3, 4, 5)
 def _constructed_set():
     """The named instance list used across suites."""
     out = {}
-    for prefix, orders, structure, _, _ in _POLYGONS:
+    for prefix, orders, structure, _ in _POLYGONS:
         for q in orders:
             out[f"{prefix}-q{q}"] = incidence_graph(structure(q))
     for q in _POLARITY_ORDERS:
@@ -217,48 +220,37 @@ def _constructed_set():
     return out
 
 
-def geometry_suite(seed: int, budget=None) -> list:
+def geometry_suite(seed: int, constructed: dict, budget=None) -> list:
     records = []
-    constructed = _constructed_set()
-    for prefix, orders, _, vertex_count, polygon_girth in _POLYGONS:
+    for prefix, orders, _, ell in _POLYGONS:
         for q in orders:
             inst = f"{prefix}-q{q}"
             g = constructed[inst]
-            n_expect = vertex_count(q)
-            records.append(_rec("vertex-count",
-                                "generalized polygon incidence",
-                                inst, g.n, n_expect, g.n == n_expect))
-            records.append(_rec("edge-count", "polygon edge equality", inst,
-                                g.m, (q + 1) * n_expect // 2,
-                                g.m == (q + 1) * n_expect // 2))
-            degs = set(g.degrees())
-            records.append(_rec("regularity", "generalized polygon incidence",
-                                inst, sorted(degs), [q + 1], degs == {q + 1}))
-            g_girth = girth(g)
-            records.append(_rec("girth", "generalized polygon incidence",
-                                inst, g_girth, polygon_girth,
-                                g_girth == polygon_girth))
+            n_expect = 2 * sum(q**i for i in range(ell + 1))
+            records.append(_eq("vertex-count", "generalized polygon incidence",
+                               inst, g.n, n_expect))
+            records.append(_eq("edge-count", "polygon edge equality", inst,
+                               g.m, (q + 1) * n_expect // 2))
+            records.append(_eq("regularity", "generalized polygon incidence",
+                               inst, sorted(set(g.degrees())), [q + 1]))
+            records.append(_eq("girth", "generalized polygon incidence",
+                               inst, girth(g), 2 * ell + 2))
     for q in _POLARITY_ORDERS:
         inst = f"polarity-q{q}"
         g = constructed[inst]
-        records.append(_rec("edge-count", "polarity graph", inst, g.m,
-                            q * (q + 1) ** 2 // 2,
-                            g.m == q * (q + 1) ** 2 // 2))
-        has_c4 = contains_cycle(g, 4, budget=budget)
-        records.append(_rec("quadrilateral-free", "polarity graph", inst,
-                            has_c4, False, not has_c4))
-        low = sorted(v for v in range(g.n) if g.degree(v) == q)
+        records.append(_eq("edge-count", "polarity graph", inst, g.m,
+                           q * (q + 1) ** 2 // 2))
+        records.append(_eq("quadrilateral-free", "polarity graph", inst,
+                           contains_cycle(g, 4, budget=budget), False))
+        low = g.degrees().count(q)
         records.append(_rec("low-degree-vertices", "polarity graph", inst,
-                            len(low), q + 1,
-                            len(low) == q + 1
-                            and all(g.degree(v) == q + 1
-                                    for v in range(g.n) if v not in low)))
+                            low, q + 1,
+                            low == q + 1 and set(g.degrees()) == {q, q + 1}))
     tc = constructed["quadrangle-incidence-q2"]
     aug, _ = augment_distance_two(tc)
     spectrum = cycle_spectrum(aug, 8, budget=budget)
-    records.append(_rec("augmented-edge-count", "distance-two augmentation",
-                        "quadrangle-incidence-q2", aug.m, tc.m + 1,
-                        aug.m == tc.m + 1))
+    records.append(_eq("augmented-edge-count", "distance-two augmentation",
+                       "quadrangle-incidence-q2", aug.m, tc.m + 1))
     records.append(_rec("augmented-cycle-spectrum",
                         "distance-two augmentation",
                         "quadrangle-incidence-q2", sorted(spectrum),
@@ -283,20 +275,13 @@ def geometry_suite(seed: int, budget=None) -> list:
     rng = XorShift64Star(seed + 71)
     c4_free = list(constructed.values()) + c4_free_corpus(12, seed + 72)
     for eps in (0.3, 0.5, 1.0):
-        violations = 0
-        checked = 0
-        for g in c4_free:
-            for _ in range(50):
-                B = rng.sample(range(g.n))
-                if not B:
-                    continue
-                rep = check_degree_outlier_bound(g, B, eps)
-                checked += 1
-                violations += not rep.holds
+        samples = ((g, rng.sample(range(g.n)))
+                   for g in c4_free for _ in range(50))
         records.append(_tally("degree-outlier-endpoints",
                               "degree outlier bound",
                               f"constructed+corpus eps={eps}",
-                              violations, checked,
+                              (check_degree_outlier_bound(g, B, eps).holds
+                               for g, B in samples if B),
                               op="check_degree_outlier_bound"))
     frac = high_degree_edge_fraction(constructed["polarity-q5"], 0.5)
     records.append(_rec("high-degree-edge-fraction", "degree outlier bound",
@@ -305,70 +290,52 @@ def geometry_suite(seed: int, budget=None) -> list:
     return records
 
 
-def walks_suite(seed: int, budget=None) -> list:
+def walks_suite(seed: int, constructed: dict, budget=None) -> list:
     records = []
-    corpus = walks_corpus(500, seed)
-    constructed = _constructed_set()
-    everything = list(constructed.values()) + corpus
+    everything = list(constructed.values()) + walks_corpus(500, seed)
     totals = [walk_totals(g, 6) for g in everything]
-    for k in range(1, 7):
-        violations = sum(not blakley_roy_bound(g, k, t).holds
-                         for g, t in zip(everything, totals))
-        records.append(_tally("walk-floor", "Blakley-Roy walk bound",
-                              f"corpus+constructed k={k}", violations,
-                              len(everything), op="check_blakley_roy"))
-    for r in (2, 4, 6):
-        violations = 0
-        checked = 0
-        for g, t in zip(everything, totals):
-            for s in range(1, r + 1):
-                checked += 1
-                violations += not godsil_bound(g, r, s, t).holds
-        records.append(_tally("walk-power-mean", "Godsil walk power mean",
-                              f"corpus+constructed r={r}", violations,
-                              checked, op="check_godsil"))
-    for ell in (2, 3, 4):
-        violations = sum(
-            not check_path_lower_bound(g, ell, budget=budget).holds
-            for g in everything
-        )
-        records.append(_tally("path-floor", "path undercount bound",
-                              f"corpus+constructed ell={ell}", violations,
-                              len(everything), op="check_path_lower_bound"))
+    # name, ref, parameter, its values, op, and the verdicts at one value
+    bounds = (
+        ("walk-floor", "Blakley-Roy walk bound", "k", range(1, 7),
+         "check_blakley_roy",
+         lambda k: (blakley_roy_bound(g, k, t).holds
+                    for g, t in zip(everything, totals))),
+        ("walk-power-mean", "Godsil walk power mean", "r", (2, 4, 6),
+         "check_godsil",
+         lambda r: (godsil_bound(g, r, s, t).holds
+                    for g, t in zip(everything, totals)
+                    for s in range(1, r + 1))),
+        ("path-floor", "path undercount bound", "ell", (2, 3, 4),
+         "check_path_lower_bound",
+         lambda ell: (check_path_lower_bound(g, ell, budget=budget).holds
+                      for g in everything)),
+    )
+    for name, ref, param, values, op, verdicts in bounds:
+        for x in values:
+            records.append(_tally(name, ref, f"corpus+constructed {param}={x}",
+                                  verdicts(x), op=op))
     # regular graphs: non-returning counts meet the floor with equality
-    eq_fail = 0
-    eq_checked = 0
-    for name, g in constructed.items():
-        degs = set(g.degrees())
-        if len(degs) != 1:
-            continue
-        r = degs.pop()
-        for k in range(1, 7):
-            eq_checked += 1
-            eq_fail += nonreturning_count(g, k).average != Fraction(
-                r * (r - 1) ** (k - 1)
-            )
+    regular = ((g, g.max_degree()) for g in constructed.values()
+               if g.min_degree() == g.max_degree())
     records.append(_tally("nonreturning-regular-equality",
                           "non-returning walk floor", "constructed regular",
-                          eq_fail, eq_checked))
-    hoory_fail = 0
-    hoory_checked = 0
-    for g in bipartite_corpus(30, seed + 5):
-        for t in (1, 2):
-            rep = check_hoory_bipartite(g, t)
-            hoory_checked += 1
-            hoory_fail += not (rep.holds_product and rep.holds_biregular)
+                          (nonreturning_count(g, k).average
+                           == r * (r - 1) ** (k - 1)
+                           for g, r in regular for k in range(1, 7))))
+    hoory = (check_hoory_bipartite(g, t)
+             for g in bipartite_corpus(30, seed + 5) for t in (1, 2))
     records.append(_tally("bipartite-nonreturning-floor",
                           "Hoory bipartite non-returning bound",
-                          "bipartite corpus t=1,2", hoory_fail,
-                          hoory_checked, op="check_hoory_bipartite"))
+                          "bipartite corpus t=1,2",
+                          (rep.holds_product and rep.holds_biregular
+                           for rep in hoory),
+                          op="check_hoory_bipartite"))
     rep = check_hoory_bipartite(constructed["plane-incidence-q2"], 1)
     records.append(_rec("bipartite-nonreturning-equality",
                         "Hoory bipartite non-returning bound",
                         "plane-incidence-q2", rep.nu, rep.biregular_bound,
                         rep.equality, op="check_hoory_bipartite"))
-    for prefix, orders, _, _, polygon_girth in _POLYGONS:
-        ell = polygon_girth // 2 - 1  # girth 2*ell + 2
+    for prefix, orders, _, ell in _POLYGONS:
         for q in orders:
             name = f"{prefix}-q{q}"
             rep = check_closed_walk_bound(constructed[name], ell)
@@ -376,32 +343,26 @@ def walks_suite(seed: int, budget=None) -> list:
                                 "high-girth closed-walk ceiling",
                                 f"{name} ell={ell}", rep.lhs, rep.rhs,
                                 rep.holds, op="check_closed_walk_bound"))
-    w6 = closed_walk_count(constructed["plane-incidence-q2"], 6).average
-    records.append(_rec("closed-walk-average", "trace power identity",
-                        "plane-incidence-q2 k=6", w6, 111, w6 == 111))
+    records.append(_eq("closed-walk-average", "trace power identity",
+                       "plane-incidence-q2 k=6",
+                       closed_walk_count(constructed["plane-incidence-q2"],
+                                         6).average, 111))
     # odd cycle runs in dense neighborhoods
     dense = dense_corpus(60, seed + 9)
     for s in (5, 7):
-        qualifying = 0
-        failures = 0
-        for g in dense:
-            min_r = dense_layer_radius(g, 3, 2 * s - 4)
-            if min_r is None:
-                continue
-            qualifying += 1
-            if odd_cycle_run(g, min_r, s, budget=budget) is None:
-                failures += 1
+        radii = (dense_layer_radius(g, 3, 2 * s - 4) for g in dense)
+        found = [odd_cycle_run(g, min_r, s, budget=budget) is not None
+                 for g, min_r in zip(dense, radii) if min_r is not None]
         records.append(_rec("odd-cycle-run", "dense neighborhood odd cycles",
                             f"dense corpus s={s}",
-                            f"violations={failures}",
-                            f"qualifying={qualifying}",
-                            failures == 0 and qualifying > 0))
+                            f"violations={found.count(False)}",
+                            f"qualifying={len(found)}",
+                            bool(found) and all(found)))
     return records
 
 
-def spectral_suite(seed: int, budget=None) -> list:
+def spectral_suite(seed: int, constructed: dict, budget=None) -> list:
     records = []
-    constructed = _constructed_set()
     # one eigensolve per graph: the flat summaries derive from these
     summaries = {
         name: spectral_summary(g, bipartite=not name.startswith("polarity"))
@@ -417,60 +378,44 @@ def spectral_suite(seed: int, budget=None) -> list:
                         [round(x, 9) for x in eig], [2.0, 0.0, 0.0, -2.0],
                         max(abs(a - b) for a, b in
                             zip(eig, [2.0, 0.0, 0.0, -2.0])) <= 1e-8))
-    trace_fail = 0
-    trace_checked = 0
-    for name, g in constructed.items():
-        summ = summaries[name]
-        delta = g.max_degree()
-        for k in (2, 4, 6):
-            lhs = sum(x**k for x in summ.eigenvalues)
-            rhs = closed_walk_count(g, k).total
-            trace_checked += 1
-            trace_fail += abs(lhs - rhs) > 1e-6 * g.n * delta**k
-        if summ.bipartite:
-            sym_err = max(
-                abs(summ.eigenvalues[i] + summ.eigenvalues[-1 - i])
-                for i in range(g.n)
-            )
-            trace_checked += 1
-            trace_fail += sym_err > 1e-6
+    powers = (abs(sum(x**k for x in summaries[name].eigenvalues)
+                  - closed_walk_count(g, k).total)
+              <= 1e-6 * g.n * g.max_degree()**k
+              for name, g in constructed.items() for k in (2, 4, 6))
+    symmetry = (max(abs(x + y) for x, y in
+                    zip(summ.eigenvalues, reversed(summ.eigenvalues))) <= 1e-6
+                for summ in summaries.values() if summ.bipartite)
     records.append(_tally("trace-powers", "trace power identity",
-                          "constructed k=2,4,6", trace_fail, trace_checked))
+                          "constructed k=2,4,6", chain(powers, symmetry)))
     rng = XorShift64Star(seed + 21)
     for name in ("plane-incidence-q2", "quadrangle-incidence-q2"):
         g = constructed[name]
-        flat = summaries[name].flat()
-        fails = _mixing_violations(
-            rng, range(g.n), range(g.n), 1000,
-            lambda S, T: check_mixing_regular(g, S, T, summary=flat))
-        records.append(_tally("mixing-regular", "expander mixing (regular)",
-                              f"{name} 1000 pairs", fails, 1000,
-                              op="check_mixing_regular"))
+        records.append(_tally(
+            "mixing-regular", "expander mixing (regular)",
+            f"{name} 1000 pairs",
+            _mixing_verdicts(rng, range(g.n), range(g.n), 1000,
+                             partial(check_mixing_regular, g,
+                                     summary=summaries[name].flat())),
+            op="check_mixing_regular"))
     for name in ("plane-incidence-q2", "quadrangle-incidence-q2"):
         g = constructed[name]
-        summ = summaries[name]
-        fails = _mixing_violations(
-            rng, g.part_x, g.part_y, 1000,
-            lambda S, T: check_mixing_bipartite(g, S, T, summary=summ))
-        records.append(_tally("mixing-bipartite",
-                              "expander mixing (bipartite regular)",
-                              f"{name} 1000 pairs", fails, 1000,
-                              op="check_mixing_bipartite"))
+        records.append(_tally(
+            "mixing-bipartite", "expander mixing (bipartite regular)",
+            f"{name} 1000 pairs",
+            _mixing_verdicts(rng, g.part_x, g.part_y, 1000,
+                             partial(check_mixing_bipartite, g,
+                                     summary=summaries[name])),
+            op="check_mixing_bipartite"))
     beta, gamma = 0.0005, 0.4
-    nr_fail = 0
-    nr_checked = 0
-    for g in near_biregular_corpus(3, seed + 33):
-        summ = spectral_summary(g, bipartite=True)
-        nr_fail += _mixing_violations(
-            rng, g.part_x, g.part_y, 100,
-            lambda S, T: check_mixing_near_regular(g, S, T, beta, gamma,
-                                                   summary=summ))
-        nr_checked += 100
-    records.append(_tally("mixing-near-regular",
-                          "expander mixing (near-regular)",
-                          f"near-biregular corpus beta={beta} gamma={gamma}",
-                          nr_fail, nr_checked,
-                          op="check_mixing_near_regular"))
+    records.append(_tally(
+        "mixing-near-regular", "expander mixing (near-regular)",
+        f"near-biregular corpus beta={beta} gamma={gamma}",
+        (v for g in near_biregular_corpus(3, seed + 33)
+         for v in _mixing_verdicts(
+             rng, g.part_x, g.part_y, 100,
+             partial(check_mixing_near_regular, g, beta=beta, gamma=gamma,
+                     summary=spectral_summary(g, bipartite=True)))),
+        op="check_mixing_near_regular"))
     trend = []
     for q in (2, 3, 4, 5):
         g = constructed[f"plane-incidence-q{q}"]
@@ -489,7 +434,7 @@ def spectral_suite(seed: int, budget=None) -> list:
     return records
 
 
-def search_suite(seed: int, budget=None) -> list:
+def search_suite(seed: int, constructed: dict, budget=None) -> list:
     records = []
     fam_c4 = FamilySpec.of(4)
     fam_c3 = FamilySpec.of(3)
@@ -498,7 +443,7 @@ def search_suite(seed: int, budget=None) -> list:
                         "n=14 no-C4", z14.value, 21,
                         z14.value == 21 and z14.completed))
     hw_canonical = graph6_encode(
-        canonical_graph(incidence_graph(pg2_incidence(2)))
+        canonical_graph(constructed["plane-incidence-q2"])
     )
     records.append(_rec("zarankiewicz-witness", "polygon edge equality",
                         "n=14 no-C4",
@@ -506,16 +451,16 @@ def search_suite(seed: int, budget=None) -> list:
                         hw_canonical.decode("ascii"),
                         z14.witnesses == (hw_canonical,)))
     z2 = zarankiewicz_number(2, fam_c4, budget=budget)
-    records.append(_rec("zarankiewicz-value", "exact bipartite extremal",
-                        "n=2 no-C4", z2.value, 1, z2.value == 1))
+    records.append(_eq("zarankiewicz-value", "exact bipartite extremal",
+                       "n=2 no-C4", z2.value, 1))
     for n in range(3, 9):
         r = turan_number(n, fam_c3, budget=budget)
         records.append(_rec("turan-value", "Mantel triangle bound",
                             f"n={n} no-C3", r.value, n * n // 4,
                             r.value == n * n // 4 and r.completed))
     r34 = turan_number(3, fam_c4, budget=budget)
-    records.append(_rec("turan-value", "exact extremal", "n=3 no-C4",
-                        r34.value, 3, r34.value == 3))
+    records.append(_eq("turan-value", "exact extremal", "n=3 no-C4",
+                       r34.value, 3))
     ex_c4c5 = {}
     for n, expected in sorted(EX_C4C5_FIXTURES.items()):
         r = ex_c4c5[n] = turan_number(n, FamilySpec.of(4, 5), budget=budget)
@@ -523,16 +468,12 @@ def search_suite(seed: int, budget=None) -> list:
                             f"n={n} no-C4,C5", r.value, expected,
                             r.value == expected and r.completed))
     # unbalanced table plus its closed-form bound
-    bound_fail = 0
-    checked = 0
-    for a in range(2, 8):
-        for b in range(a, 8):
-            r = zarankiewicz_ab(a, b, fam_c4, budget=budget)
-            checked += 1
-            bound_fail += r.value > (a * b) ** 0.75 + max(a, b) + FLOAT_SLACK
     records.append(_tally("unbalanced-z-table",
                           "unbalanced Zarankiewicz bound",
-                          "2<=a<=b<=7 no-C4", bound_fail, checked))
+                          "2<=a<=b<=7 no-C4",
+                          (zarankiewicz_ab(a, b, fam_c4, budget=budget).value
+                           <= (a * b) ** 0.75 + max(a, b) + FLOAT_SLACK
+                           for a in range(2, 8) for b in range(a, 8))))
     for rep in verify_upper_bounds([z14]):
         records.append(_rec(rep.check, "polygon edge bound", "n=14 no-C4",
                             rep.lhs, rep.rhs, rep.holds))
@@ -550,16 +491,12 @@ def search_suite(seed: int, budget=None) -> list:
     records.append(_rec("monotone-in-family", "extremal monotonicity",
                         "n=7", ex7_45, ex7.value, ex7_45 <= ex7.value))
     # the 30-vertex quadrangle certificate: construction meets the formula
-    tc = incidence_graph(gq_w3(2))
-    lower = SearchResult.from_witness(
-        "zarankiewicz", (30,), FamilySpec.even_cycles(3), tc,
-        note="incidence construction",
-    )
+    tc = constructed["quadrangle-incidence-q2"]
     q_real = solve_polygon_order(30, 3)
     bound = (q_real + 1) * 30 / 2
     records.append(_rec("construction-meets-bound", "polygon edge equality",
-                        "n=30 no-C4,C6", lower.value, bound,
-                        abs(lower.value - bound) <= FLOAT_SLACK))
+                        "n=30 no-C4,C6", tc.m, bound,
+                        abs(tc.m - bound) <= FLOAT_SLACK))
     for q in (2, 3):
         _, rep = discrepancy_witness(3, q, budget=budget)
         records.append(_rec("augmented-witness", "one-edge discrepancy",
@@ -578,15 +515,14 @@ _SUITE_FUNCS = {
 }
 
 
-def run_verify(suite: str, seed: int = 42, budget=None,
-               timing: bool = False) -> RunReport:
+def run_verify(suite: str, seed: int = 42, budget=None) -> RunReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {SUITES}")
-    t0 = time.monotonic()
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
+    constructed = _constructed_set()
     records = []
     for name in names:
-        records.extend(_SUITE_FUNCS[name](seed, budget))
+        records.extend(_SUITE_FUNCS[name](seed, constructed, budget))
     coverage = sorted({r.op for r in records if r.op})
     if suite == "all":
         missing = [op for op in CHECK_OPS if op not in coverage]
@@ -595,12 +531,10 @@ def run_verify(suite: str, seed: int = 42, budget=None,
                             not missing))
     overall = all(r.holds for r in records if r.holds is not None)
     return RunReport(
-        command="verify",
         suite=suite,
         seed=seed,
         budget=budget,
         records=records,
         coverage=coverage,
         overall_pass=overall,
-        wall_time_s=round(time.monotonic() - t0, 3) if timing else None,
     )

@@ -336,6 +336,8 @@ def check_closed_walk_bound(G: BipartiteGraph, ell: int) -> BoundReport:
     """
     if not isinstance(G, BipartiteGraph):
         raise TypeError("check_closed_walk_bound needs a BipartiteGraph")
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     g = girth(G)
     if g < 2 * ell + 2:
         raise GirthTooSmall(f"girth {g} < {2 * ell + 2}")

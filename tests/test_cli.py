@@ -135,6 +135,16 @@ class TestVerifyCli:
     def test_bad_suite_exit_2(self):
         assert main(["verify", "nonsense"]) == 2
 
+    def test_failed_check_exit_1(self, tmp_path, capsys):
+        """Seed 10 draws plane-incidence samples whose normalized deviation
+        rises from q = 4 to q = 5, so the trend record fails."""
+        out = tmp_path / "report.json"
+        rc = main(["verify", "spectral", "--seed", "10", "--out", str(out)])
+        assert rc == 1
+        assert ("FAIL edge-deviation-trend [plane incidence q=2..5]"
+                in capsys.readouterr().err)
+        assert json.loads(out.read_text())["overall_pass"] is False
+
     def test_tiny_budget_exit_4(self, tmp_path):
         rc = main(["verify", "search", "--budget", "10",
                    "--out", str(tmp_path / "never.json")])

@@ -13,10 +13,15 @@ a printed eigenvalue, fails here.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from girthlab.verify import run_verify
+
+GOLDENS = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "goldens.json").read_text())
 
 DIGESTS = {
     ("geometry", 42):
@@ -42,3 +47,14 @@ DIGESTS = {
 def test_report_bytes_are_unchanged(suite, seed):
     report = run_verify(suite, seed).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == DIGESTS[suite, seed]
+
+
+@pytest.mark.parametrize("seed", [10, 33])
+def test_failing_spectral_reports_match_benchmark_goldens(seed):
+    """The two suite reports the benchmark goldens list as failing, pinned
+    to the digests recorded there: the only reports with a failed record."""
+    assert f"spectral --seed {seed}" in GOLDENS["overall_pass_false"]
+    report = run_verify("spectral", seed)
+    assert not report.overall_pass
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == GOLDENS["suites"]["spectral"][str(seed)]

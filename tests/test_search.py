@@ -84,7 +84,31 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec.of(2)
         with pytest.raises(ValueError):
+            FamilySpec.of(True)
+        with pytest.raises(ValueError):
             FamilySpec.even_cycles_plus_odd(2, 4)
+
+    def test_non_integer_length_rejected(self):
+        """4.5 would count as odd, and z(3, 3) would come out 9."""
+        with pytest.raises(ValueError, match="integers >= 3, got 4.5"):
+            FamilySpec(frozenset({4.5}))
+
+    def test_of_does_not_truncate(self):
+        """of() keeps the value it is given: 4.5 is not truncated to 4."""
+        with pytest.raises(ValueError, match="got 4.5"):
+            FamilySpec.of(4.5)
+
+    def test_integral_float_rejected_before_the_search(self):
+        """4.0 is rejected when the family is built, not by a TypeError
+        inside the search's conflict masks."""
+        with pytest.raises(ValueError, match="got 4.0"):
+            turan_number(5, FamilySpec(frozenset({4.0})))
+
+    def test_lengths_stored_as_frozenset(self):
+        family = FamilySpec({4, 6})
+        assert type(family.lengths) is frozenset
+        assert family == FamilySpec.even_cycles(3)
+        assert hash(family) == hash(FamilySpec.even_cycles(3))
 
     def test_even_run(self):
         assert FamilySpec.even_cycles(2).even_run_ell() == 2
@@ -282,10 +306,17 @@ class TestUpperBounds:
         assert polygon and polygon[0].holds and polygon[0].equality
 
     def test_constructed_lower_bound(self, tutte_coxeter):
-        res = SearchResult.from_witness(
-            "zarankiewicz", (30,), FamilySpec.even_cycles(3), tutte_coxeter
+        res = SearchResult(
+            kind="zarankiewicz",
+            instance=(30,),
+            family=FamilySpec.even_cycles(3),
+            value=tutte_coxeter.m,
+            witnesses=(),
+            nodes=0,
+            wall_time=0.0,
+            completed=False,
         )
-        assert res.value == 45 and not res.completed
+        assert res.value == 45
         q = solve_polygon_order(30, 3)
         assert abs(q - 2) < 1e-9
         reports = verify_upper_bounds([res])

@@ -177,6 +177,11 @@ class TestPseudorandomness:
         rep = pseudorandomness_report(heawood, 0, 1)
         assert rep.samples == 0 and rep.normalized_max == 0.0
 
+    def test_negative_samples_rejected(self, heawood):
+        """A negative count is rejected, not reported as zero samples."""
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            pseudorandomness_report(heawood, -1, 1)
+
     def test_ell_zero_rejected(self, heawood):
         with pytest.raises(ValueError, match="ell must be >= 1"):
             pseudorandomness_report(heawood, 10, 1, ell=0)

@@ -216,6 +216,11 @@ class TestClosedWalkBound:
         with pytest.raises(GirthTooSmall):
             check_closed_walk_bound(heawood, 3)
 
+    def test_negative_ell_rejected(self, heawood):
+        """ell is checked before the walk count, whose message names k."""
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            check_closed_walk_bound(heawood, -1)
+
 
 class TestPathLowerBound:
     def test_heawood(self, heawood):
