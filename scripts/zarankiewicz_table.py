@@ -14,7 +14,7 @@ import argparse
 import time
 
 from girthlab.errors import BudgetExceeded
-from girthlab.search import FamilySpec, zarankiewicz_ab
+from girthlab.search import FamilySpec, unbalanced_z_bound, zarankiewicz_ab
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
                 res = zarankiewicz_ab(a, b, family)
             except BudgetExceeded as exc:
                 res = exc.result
-            bound = (a * b) ** (0.5 + 0.5 / ell) + max(a, b)
+            bound = unbalanced_z_bound(a, b, ell)
             flag = "" if res.completed else "  (budget-truncated!)"
             print(f"{a:>3} {b:>3} {res.value:>4} {bound:>8.2f} "
                   f"{res.nodes:>10} {time.monotonic() - t0:>7.2f}{flag}")

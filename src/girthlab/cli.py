@@ -7,9 +7,9 @@ Subcommands:
              spectrum, chromatic number of a graph file
   verify     run a verification suite and emit a JSON run report
 
-Exit codes: 0 pass, 1 check failure, 2 bad arguments, 3 parse error,
-4 budget exhausted. The environment variable GIRTHLAB_BUDGET overrides the
-default enumeration budgets.
+Exit codes: 0 pass, 1 check failure, 2 bad arguments or an unwritable --out,
+3 an unreadable or malformed input, 4 budget exhausted. The environment
+variable GIRTHLAB_BUDGET overrides the default enumeration budgets.
 """
 
 from __future__ import annotations
@@ -70,12 +70,16 @@ def _serialize(G: Graph, fmt: str) -> bytes:
 
 
 def _write(data: bytes, out):
-    if out is None or out == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+    try:
+        if out is None or out == "-":
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+        else:
+            with open(out, "wb") as fh:
+                fh.write(data)
+    except OSError as exc:
+        # so that every OSError main sees comes from reading the input
+        raise ValueError(f"cannot write the output: {exc}") from exc
 
 
 def cmd_construct(args) -> int:
@@ -173,7 +177,8 @@ def main(argv=None) -> int:
     except (UnsupportedOrder, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
-    except (ParseError, Unsupported, FileNotFoundError) as exc:
+    except (ParseError, Unsupported, OSError) as exc:
+        # OSError: the input file could not be read
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceeded as exc:

@@ -26,31 +26,28 @@ def _er_graph(rng: XorShift64Star, n: int, percent: int) -> Graph:
     return Graph(n, edges)
 
 
-def walks_corpus(count: int, seed: int) -> list:
-    """Sparse-to-medium random graphs for the walk-inequality suites.
-
-    Draw i: n = 4 + below(17) (so 4..20), percent = 10 + 5 * below(7)
-    (10..40), then the pair coins.
-    """
+def _er_corpus(count, seed, n_min, n_values, p_min, p_step, p_values):
+    """count Erdos-Renyi graphs. Draw i: n = n_min + below(n_values),
+    percent = p_min + p_step * below(p_values), then the pair coins."""
     rng = XorShift64Star(seed)
     out = []
     for _ in range(count):
-        n = 4 + rng.below(17)
-        percent = 10 + 5 * rng.below(7)
+        n = n_min + rng.below(n_values)
+        percent = p_min + p_step * rng.below(p_values)
         out.append(_er_graph(rng, n, percent))
     return out
+
+
+def walks_corpus(count: int, seed: int) -> list:
+    """Sparse-to-medium random graphs (n 4..20, percent 10..40 in steps of
+    5) for the walk-inequality suites."""
+    return _er_corpus(count, seed, 4, 17, 10, 5, 7)
 
 
 def dense_corpus(count: int, seed: int) -> list:
-    """Dense random graphs (n 12..20, edge probability 0.55..0.85) for the
+    """Dense random graphs (n 12..20, percent 55..85 in steps of 10) for the
     odd-cycle-run suite."""
-    rng = XorShift64Star(seed)
-    out = []
-    for _ in range(count):
-        n = 12 + rng.below(9)
-        percent = 55 + 10 * rng.below(4)
-        out.append(_er_graph(rng, n, percent))
-    return out
+    return _er_corpus(count, seed, 12, 9, 55, 10, 4)
 
 
 def c4_free_corpus(count: int, seed: int) -> list:
@@ -159,12 +156,6 @@ def near_biregular_corpus(count: int, seed: int) -> list:
 
 
 def small_corpus(count: int, seed: int) -> list:
-    """Tiny random graphs (n 2..8, percent 20..80) for brute-force
-    cross-validation."""
-    rng = XorShift64Star(seed)
-    out = []
-    for _ in range(count):
-        n = 2 + rng.below(7)
-        percent = 20 + 10 * rng.below(7)
-        out.append(_er_graph(rng, n, percent))
-    return out
+    """Tiny random graphs (n 2..8, percent 20..80 in steps of 10) for
+    brute-force cross-validation."""
+    return _er_corpus(count, seed, 2, 7, 20, 10, 7)

@@ -74,7 +74,3 @@ class ParseError(GirthlabError):
 
 class Unsupported(GirthlabError):
     """Input outside the supported desk-scale range (e.g. graph6 n > 62)."""
-
-
-class UnsupportedInstance(GirthlabError):
-    """The requested witness instance is not constructible at desk scale."""

@@ -85,7 +85,7 @@ def to_edge_json(G: Graph) -> str:
     return json.dumps({"n": G.n, "edges": [[u, v] for u, v in G.edges()]})
 
 
-def from_edge_json(text: str) -> Graph:
+def from_edge_json(text: str | bytes) -> Graph:
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -117,5 +117,5 @@ def load_graph(path: str) -> Graph:
         raw = fh.read()
     stripped = raw.lstrip()
     if stripped.startswith(b"{"):
-        return from_edge_json(raw.decode("utf-8"))
+        return from_edge_json(raw)
     return graph6_decode(raw)

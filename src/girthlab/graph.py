@@ -119,10 +119,11 @@ class Graph:
 class BipartiteGraph(Graph):
     """Graph plus a two-part vertex labeling; every edge must cross parts.
 
-    ``side[v]`` is 0 for the X part and 1 for the Y part.
+    ``side[v]`` is 0 for the X part and 1 for the Y part; ``part_x`` and
+    ``part_y`` are the vertices of each part in increasing order.
     """
 
-    __slots__ = ("side",)
+    __slots__ = ("side", "part_x", "part_y")
 
     def __init__(self, n: int, edges=(), side=()):
         super().__init__(n, edges)
@@ -133,14 +134,8 @@ class BipartiteGraph(Graph):
             if side[u] == side[v]:
                 raise NotBipartite(f"edge ({u},{v}) inside part {side[u]}")
         self.side = side
-
-    @property
-    def part_x(self) -> tuple:
-        return tuple(v for v in range(self.n) if self.side[v] == 0)
-
-    @property
-    def part_y(self) -> tuple:
-        return tuple(v for v in range(self.n) if self.side[v] == 1)
+        self.part_x = tuple(v for v in range(n) if side[v] == 0)
+        self.part_y = tuple(v for v in range(n) if side[v] == 1)
 
     def __repr__(self):
         return f"BipartiteGraph(n={self.n}, m={self.m}, |X|={len(self.part_x)})"
@@ -156,8 +151,9 @@ def relabel(G: Graph, perm) -> Graph:
 
 
 def induced_subgraph(G: Graph, vertices) -> tuple:
-    """Induced subgraph plus the sorted tuple mapping new index -> old."""
-    kept = tuple(sorted(set(vertices)))
+    """Induced subgraph plus the sorted tuple mapping new index -> old;
+    ValueError if vertices holds a non-vertex."""
+    kept = tuple(_vertices(G.mask(vertices)))
     pos = {v: i for i, v in enumerate(kept)}
     edges = [
         (pos[u], pos[v]) for u, v in G.edges() if u in pos and v in pos

@@ -120,14 +120,13 @@ lower bounds only and are never reported as exact.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from .budgets import node_budget
 from .canonical import canonical_labeling, twin_transpositions
-from .errors import BudgetExceeded, UnsupportedInstance
+from .errors import BudgetExceeded
 from .formats import graph6_encode
-from .geometry import augment_distance_two, gq_w3, incidence_graph
+from .geometry import augment_distance_two
 from .graph import Graph, cycle_spectrum, relabel
 from .rng import XorShift64Star
 from .walks import FLOAT_SLACK, BoundReport
@@ -174,8 +173,7 @@ class FamilySpec:
         """Largest ell with {4, 6, ..., 2*ell} contained in the family and
         ell equal to 2 or odd; None when no such ell >= 2 exists.
 
-        This is the regime in which the unbalanced Zarankiewicz bound
-        (ab)^(1/2 + 1/(2*ell)) + max(a, b) applies.
+        This is the regime in which unbalanced_z_bound applies.
         """
         if 4 not in self.lengths:
             return None
@@ -203,9 +201,7 @@ class SearchResult:
     value: int
     witnesses: tuple
     nodes: int
-    wall_time: float
     completed: bool
-    note: str = ""
 
 
 def _conflicts(bits: tuple, lengths, starts) -> list:
@@ -387,7 +383,7 @@ class _TuranSearch:
         return list(classes.values())
 
 
-def _result(kind, instance, family, value, labeled, nodes, t0, completed):
+def _result(kind, instance, family, value, labeled, nodes, completed):
     """The result a search reached: exact when it completed, a lower bound
     when its budget stopped it. Before the search records anything
     (value < 0), the empty graph certifies the value 0. Graphs labeled
@@ -404,9 +400,7 @@ def _result(kind, instance, family, value, labeled, nodes, t0, completed):
         witnesses=tuple(sorted({graph6_encode(relabel(G, perm))
                                 for G, perm in labeled})),
         nodes=nodes,
-        wall_time=time.monotonic() - t0,
         completed=completed,
-        note="" if completed else "budget-truncated",
     )
 
 
@@ -420,18 +414,16 @@ def turan_number(n: int, family: FamilySpec, budget=None,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    t0 = time.monotonic()
     search = _TuranSearch(n, family, node_budget(budget), order_seed)
     try:
         search.run()
     except BudgetExceeded as exc:
         exc.result = _result("turan", (n,), family, search.best,
-                             search.labeled_witnesses(), search.nodes, t0,
+                             search.labeled_witnesses(), search.nodes,
                              completed=False)
         raise
     return _result("turan", (n,), family, search.best,
-                   search.labeled_witnesses(), search.nodes, t0,
-                   completed=True)
+                   search.labeled_witnesses(), search.nodes, completed=True)
 
 
 def _column_key(rows, cols_n: int) -> tuple:
@@ -604,7 +596,6 @@ def _zarankiewicz(kind, instance, family, budget, order_seed, finals):
     """The largest value of the final shapes by the row search, walked in
     order under one node budget, with the staircase below the first one
     (the module docstring's floors)."""
-    t0 = time.monotonic()
     limit = node_budget(budget)
     r, c = sorted(finals[0])
     # an empty part or a family without even lengths needs no staircase
@@ -645,10 +636,10 @@ def _zarankiewicz(kind, instance, family, budget, order_seed, finals):
                 f"row search z({', '.join(map(str, instance))}; "
                 f"{family.describe()}) exceeded its budget of {limit} search "
                 f"nodes",
-                _result(kind, instance, family, value, labeled, spent, t0,
+                _result(kind, instance, family, value, labeled, spent,
                         completed=False)) from stopped
         floor = value if final else search.best + 1
-    return _result(kind, instance, family, value, labeled, spent, t0,
+    return _result(kind, instance, family, value, labeled, spent,
                    completed=True)
 
 
@@ -684,81 +675,76 @@ def zarankiewicz_number(n: int, family: FamilySpec, budget=None,
                          splits)
 
 
+def polygon_vertex_count(q, ell: int):
+    """2*(q^ell + q^(ell-1) + ... + 1), the vertex count of the incidence
+    graph of a generalized (ell+1)-gon of order q; q may be real."""
+    return 2 * sum(q**i for i in range(ell + 1))
+
+
 def solve_polygon_order(n: int, ell: int) -> float:
-    """The positive real q with n = 2*(q^ell + q^(ell-1) + ... + 1)."""
+    """The positive real q with polygon_vertex_count(q, ell) = n."""
     if n < 2:
         raise ValueError("n must be >= 2")
-
-    def f(q):
-        return 2 * sum(q**i for i in range(ell + 1)) - n
-
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     lo, hi = 0.0, float(n)
     for _ in range(200):
         mid = (lo + hi) / 2
-        if f(mid) < 0:
+        if polygon_vertex_count(mid, ell) - n < 0:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2
 
 
+def polygon_edge_bound(n: int, ell: int) -> float:
+    """(q + 1)*n/2 at the real polygon order q of n: the edge count of a
+    generalized-polygon incidence graph on n vertices, and the bound on a
+    bipartite graph on n vertices without C_4, ..., C_{2*ell}."""
+    q = solve_polygon_order(n, ell)
+    return (q + 1) * n / 2
+
+
+def unbalanced_z_bound(a: int, b: int, ell: int) -> float:
+    """(ab)^(1/2 + 1/(2*ell)) + max(a, b), the unbalanced Zarankiewicz
+    bound for parts of sizes a and b without C_4, ..., C_{2*ell}."""
+    return (a * b) ** (0.5 + 0.5 / ell) + max(a, b)
+
+
 def verify_upper_bounds(results) -> list:
-    """Evaluate the applicable extremal-formula bounds at each result.
+    """The closed-form upper bounds at each result that a wrong value would
+    fail.
 
     For bipartite (z) instances whose family is exactly the even cycles up
-    to 2*ell (ell = 2 or odd): the generalized-polygon bound (q+1)*n/2 is
-    asserted, and for two-part instances the unbalanced bound
-    (ab)^(1/2+1/(2*ell)) + max(a,b) as well. For Turán instances the
-    n^(1+1/ell)/2 formula is reported as a margin only (its O(n) slack is
-    not quantified).
+    to 2*ell (ell = 2 or odd): the polygon bound polygon_edge_bound, and
+    for two-part instances the unbalanced bound unbalanced_z_bound as well.
+    A Turán result, or a family with no closed form, yields no report.
     """
     reports = []
     for res in results:
         ell = res.family.even_run_ell()
-        exact_even_family = (
-            ell is not None
-            and res.family.lengths == frozenset(range(4, 2 * ell + 1, 2))
-        )
-        if not exact_even_family:
-            reports.append(BoundReport(
-                check="upper-bound",
-                lhs=res.value,
-                rhs=None,
-                holds=True,
-                note=f"no closed-form bound for family {res.family.describe()}",
-            ))
+        if (ell is None or res.kind == "turan"
+                or res.family.lengths != frozenset(range(4, 2 * ell + 1, 2))):
             continue
-        if res.kind in ("zarankiewicz", "zarankiewicz_ab"):
-            n = res.instance[0] if res.kind == "zarankiewicz" else sum(res.instance)
-            q = solve_polygon_order(n, ell)
-            bound = (q + 1) * n / 2
+        n = res.instance[0] if res.kind == "zarankiewicz" else sum(res.instance)
+        bound = polygon_edge_bound(n, ell)
+        reports.append(BoundReport(
+            check="polygon-edge-bound",
+            lhs=res.value,
+            rhs=bound,
+            holds=res.value <= bound + FLOAT_SLACK,
+            equality=abs(res.value - bound) <= FLOAT_SLACK,
+            note=f"n = {n}",
+        ))
+        if res.kind == "zarankiewicz_ab":
+            a, b = res.instance
+            bound = unbalanced_z_bound(a, b, ell)
             reports.append(BoundReport(
-                check="polygon-edge-bound",
+                check="unbalanced-z-bound",
                 lhs=res.value,
                 rhs=bound,
                 holds=res.value <= bound + FLOAT_SLACK,
-                equality=abs(res.value - bound) <= FLOAT_SLACK,
-                note=f"q = {q:.6f}, n = {n}",
-            ))
-            if res.kind == "zarankiewicz_ab":
-                a, b = res.instance
-                bound2 = (a * b) ** (0.5 + 0.5 / ell) + max(a, b)
-                reports.append(BoundReport(
-                    check="unbalanced-z-bound",
-                    lhs=res.value,
-                    rhs=bound2,
-                    holds=res.value <= bound2 + FLOAT_SLACK,
-                    note=f"(a, b) = ({a}, {b})",
-                ))
-        elif res.kind == "turan":
-            n = res.instance[0]
-            bound = 0.5 * n ** (1 + 1 / ell)
-            reports.append(BoundReport(
-                check="even-cycle-turan-margin",
-                lhs=res.value,
-                rhs=bound,
-                holds=True,
-                note="margin report only; linear-term slack unquantified",
+                note=f"(a, b) = ({a}, {b})",
             ))
     return reports
 
@@ -770,7 +756,6 @@ class DiscrepancyReport:
 
     graph: Graph = field(repr=False)
     added_edge: tuple
-    family: FamilySpec
     base_edges: int
     edges: int
     spectrum: frozenset
@@ -778,38 +763,22 @@ class DiscrepancyReport:
     certified: bool
 
 
-def discrepancy_witness(ell: int = 3, q: int = 2, budget=None):
-    """Augmented quadrangle incidence graph: family-free for the even
-    cycles up to 2*ell plus C5, with (bipartite optimum + 1) edges.
-
-    Only the ell = 3 (forbid C4, C6, C5) instance is constructible at desk
-    scale, for q in {2, 3}.
-    """
-    if ell != 3:
-        raise UnsupportedInstance("only the ell = 3, k = 5 instance is built")
-    if q not in (2, 3):
-        raise UnsupportedInstance("q must be 2 or 3 at desk scale")
-    base = incidence_graph(gq_w3(q))
+def discrepancy_witness(base: Graph, budget=None) -> DiscrepancyReport:
+    """The quadrangle incidence graph base (ell = 3) plus one edge between
+    two vertices at distance two: certified when it stays free of C4, C5
+    and C6 with one edge more than the bipartite optimum on its vertex
+    count, which base attains."""
     aug, pair = augment_distance_two(base)
-    family = FamilySpec.even_cycles_plus_odd(3, 5)
     spectrum = cycle_spectrum(aug, 8, budget=budget)
-    free = not (spectrum & {4, 5, 6})
-    n = aug.n
-    q_real = solve_polygon_order(n, 3)
-    bound = (q_real + 1) * n / 2
-    certified = (
-        free
-        and aug.m == base.m + 1
-        and abs(bound - base.m) <= FLOAT_SLACK
-    )
-    report = DiscrepancyReport(
+    bound = polygon_edge_bound(aug.n, 3)
+    return DiscrepancyReport(
         graph=aug,
         added_edge=pair,
-        family=family,
         base_edges=base.m,
         edges=aug.m,
         spectrum=spectrum,
         z_upper_bound=bound,
-        certified=certified,
+        certified=(not spectrum & {4, 5, 6}
+                   and aug.m == base.m + 1
+                   and abs(bound - base.m) <= FLOAT_SLACK),
     )
-    return aug, report

@@ -35,6 +35,8 @@ def best_root(G: Graph, ell: int, budget=None) -> tuple:
     all vertices."""
     if ell + 1 > 8:
         raise ValueError("ell + 1 must be <= 8 (path enumeration guard)")
+    if G.n == 0:
+        raise ValueError("a graph with no vertices has no root")
     best_v, best_count = 0, -1
     counts = paths_from_each_vertex(G, ell + 1, budget=budget)
     for v, count in enumerate(counts):

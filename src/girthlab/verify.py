@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from itertools import chain
 
@@ -48,8 +47,10 @@ from .rng import XorShift64Star
 from .search import (
     FamilySpec,
     discrepancy_witness,
-    solve_polygon_order,
+    polygon_edge_bound,
+    polygon_vertex_count,
     turan_number,
+    unbalanced_z_bound,
     verify_upper_bounds,
     zarankiewicz_ab,
     zarankiewicz_number,
@@ -146,17 +147,9 @@ class RunReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _margin(lhs, rhs) -> str:
     try:
-        return _fmt(rhs - lhs)
+        return str(rhs - lhs)
     except TypeError:
         return ""
 
@@ -166,8 +159,8 @@ def _rec(name, ref, instance, lhs, rhs, holds, op=None) -> CheckRecord:
         name=name,
         ref=ref,
         instance=instance,
-        lhs=_fmt(lhs),
-        rhs=_fmt(rhs),
+        lhs=str(lhs),
+        rhs=str(rhs),
         holds=holds,
         margin=_margin(lhs, rhs) if holds is not None else None,
         op=op,
@@ -226,7 +219,7 @@ def geometry_suite(seed: int, constructed: dict, budget=None) -> list:
         for q in orders:
             inst = f"{prefix}-q{q}"
             g = constructed[inst]
-            n_expect = 2 * sum(q**i for i in range(ell + 1))
+            n_expect = polygon_vertex_count(q, ell)
             records.append(_eq("vertex-count", "generalized polygon incidence",
                                inst, g.n, n_expect))
             records.append(_eq("edge-count", "polygon edge equality", inst,
@@ -246,16 +239,16 @@ def geometry_suite(seed: int, constructed: dict, budget=None) -> list:
         records.append(_rec("low-degree-vertices", "polarity graph", inst,
                             low, q + 1,
                             low == q + 1 and set(g.degrees()) == {q, q + 1}))
-    tc = constructed["quadrangle-incidence-q2"]
-    aug, _ = augment_distance_two(tc)
-    spectrum = cycle_spectrum(aug, 8, budget=budget)
+    rep = discrepancy_witness(constructed["quadrangle-incidence-q2"],
+                              budget=budget)
     records.append(_eq("augmented-edge-count", "distance-two augmentation",
-                       "quadrangle-incidence-q2", aug.m, tc.m + 1))
+                       "quadrangle-incidence-q2", rep.edges,
+                       rep.base_edges + 1))
     records.append(_rec("augmented-cycle-spectrum",
                         "distance-two augmentation",
-                        "quadrangle-incidence-q2", sorted(spectrum),
+                        "quadrangle-incidence-q2", sorted(rep.spectrum),
                         "contains 3, avoids 4,5,6",
-                        3 in spectrum and not (spectrum & {4, 5, 6})))
+                        3 in rep.spectrum and not rep.spectrum & {4, 5, 6}))
     hw = constructed["plane-incidence-q2"]
     aug2, _ = augment_distance_two(hw)
     spectrum2 = cycle_spectrum(aug2, 6, budget=budget)
@@ -472,7 +465,7 @@ def search_suite(seed: int, constructed: dict, budget=None) -> list:
                           "unbalanced Zarankiewicz bound",
                           "2<=a<=b<=7 no-C4",
                           (zarankiewicz_ab(a, b, fam_c4, budget=budget).value
-                           <= (a * b) ** 0.75 + max(a, b) + FLOAT_SLACK
+                           <= unbalanced_z_bound(a, b, 2) + FLOAT_SLACK
                            for a in range(2, 8) for b in range(a, 8))))
     for rep in verify_upper_bounds([z14]):
         records.append(_rec(rep.check, "polygon edge bound", "n=14 no-C4",
@@ -492,13 +485,13 @@ def search_suite(seed: int, constructed: dict, budget=None) -> list:
                         "n=7", ex7_45, ex7.value, ex7_45 <= ex7.value))
     # the 30-vertex quadrangle certificate: construction meets the formula
     tc = constructed["quadrangle-incidence-q2"]
-    q_real = solve_polygon_order(30, 3)
-    bound = (q_real + 1) * 30 / 2
+    bound = polygon_edge_bound(30, 3)
     records.append(_rec("construction-meets-bound", "polygon edge equality",
                         "n=30 no-C4,C6", tc.m, bound,
                         abs(tc.m - bound) <= FLOAT_SLACK))
     for q in (2, 3):
-        _, rep = discrepancy_witness(3, q, budget=budget)
+        rep = discrepancy_witness(constructed[f"quadrangle-incidence-q{q}"],
+                                  budget=budget)
         records.append(_rec("augmented-witness", "one-edge discrepancy",
                             f"quadrangle q={q}",
                             f"edges={rep.edges}, spectrum={sorted(rep.spectrum)}",

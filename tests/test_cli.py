@@ -55,6 +55,13 @@ class TestConstruct:
         g = graph6_decode(out.read_bytes())
         assert (g.n, g.m) == (30, 46)
 
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        rc = main(["construct", "pg2", "2", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the output")
+        assert err.count("\n") == 1
+
     def test_invalid_order_exit_2(self, tmp_path):
         out = tmp_path / "never.g6"
         rc = main(["construct", "pg2", "6", "--out", str(out)])
@@ -98,6 +105,15 @@ class TestAnalyze:
 
     def test_missing_file_exit_3(self):
         assert main(["analyze", "/nonexistent/nope.g6"]) == 3
+
+    def test_directory_input_exit_3(self, tmp_path):
+        assert main(["analyze", str(tmp_path)]) == 3
+
+    def test_undecodable_json_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"n": 2, "edges": [[0, 1]]}\xff')
+        assert main(["analyze", str(path)]) == 3
+        assert "bad JSON" in capsys.readouterr().err
 
     def test_tiny_budget_exit_4(self, tmp_path, heawood):
         path = tmp_path / "hw.g6"

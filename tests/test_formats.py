@@ -10,6 +10,7 @@ from girthlab.formats import (
     from_edge_json,
     graph6_decode,
     graph6_encode,
+    load_graph,
     to_dot,
     to_edge_json,
 )
@@ -112,6 +113,15 @@ def test_edge_json_errors():
 def test_edge_json_errors_are_parse_errors(text):
     with pytest.raises(ParseError):
         from_edge_json(text)
+
+
+def test_undecodable_json_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": 1, "edges": []}\xff')
+    with pytest.raises(ParseError):
+        load_graph(str(path))
+    path.write_bytes(b' {"n": 2, "edges": [[0, 1]]}\n')
+    assert load_graph(str(path)) == Graph(2, [(0, 1)])
 
 
 def test_non_ascii_graph6_text_is_a_parse_error():

@@ -23,6 +23,7 @@ from girthlab.graph import (
     diameter,
     e_between,
     girth,
+    induced_subgraph,
     is_bipartite,
     is_family_free,
     max_bipartite_local,
@@ -74,6 +75,8 @@ class TestGraphBasics:
             BipartiteGraph(2, [(0, 1)], [0, 0])
         b = BipartiteGraph(3, [(0, 2), (1, 2)], [0, 0, 1])
         assert b.part_x == (0, 1) and b.part_y == (2,)
+        # the parts are computed once, not rebuilt on every access
+        assert b.part_x is b.part_x and b.part_y is b.part_y
 
 
 class TestLayers:
@@ -509,3 +512,13 @@ def test_relabel_rejects_non_permutations():
     for perm in ([1, 0, 0], [0, 1, 2, 3], [0, 1]):
         with pytest.raises(ValueError, match="permutation of the 3 vertices"):
             relabel(g, perm)
+
+
+def test_induced_subgraph_rejects_non_vertices():
+    """A vertex set holding a non-vertex would map a new vertex to a vertex
+    that does not exist."""
+    g = Graph(3, [(0, 1), (1, 2)])
+    assert induced_subgraph(g, [2, 1, 1]) == (Graph(2, [(0, 1)]), (1, 2))
+    for vertices in ([0, 99], [-1, 0], [3]):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            induced_subgraph(g, vertices)

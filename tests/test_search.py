@@ -17,14 +17,17 @@ from girthlab.canonical import (
     canonical_labeling,
     last_edge_under,
 )
-from girthlab.errors import BudgetExceeded, UnsupportedInstance
+from girthlab.errors import BudgetExceeded
 from girthlab.formats import graph6_decode, graph6_encode
+from girthlab.geometry import gq_w3, incidence_graph
 from girthlab.graph import Graph, contains_cycle, is_family_free, relabel
 from girthlab.rng import XorShift64Star
 from girthlab.search import (
     FamilySpec,
     SearchResult,
     discrepancy_witness,
+    polygon_edge_bound,
+    polygon_vertex_count,
     solve_polygon_order,
     turan_number,
     verify_upper_bounds,
@@ -313,7 +316,6 @@ class TestUpperBounds:
             value=tutte_coxeter.m,
             witnesses=(),
             nodes=0,
-            wall_time=0.0,
             completed=False,
         )
         assert res.value == 45
@@ -323,34 +325,66 @@ class TestUpperBounds:
         polygon = [r for r in reports if r.check == "polygon-edge-bound"][0]
         assert polygon.holds and polygon.equality
 
-    def test_turan_margin_is_report_only(self):
-        res = turan_number(3, C4)
+    def test_no_report_without_a_bound_that_can_fail(self):
+        """A Turán result, or a family with no closed form, yields no
+        report."""
+        results = [turan_number(3, C4),
+                   zarankiewicz_number(6, FamilySpec.of(6)),
+                   zarankiewicz_ab(3, 3, C4C5)]
+        assert verify_upper_bounds(results) == []
+
+    def test_unbalanced_bound_on_a_two_part_result(self):
+        res = zarankiewicz_ab(3, 5, C4)
         reports = verify_upper_bounds([res])
-        assert all(r.holds for r in reports)
+        assert [r.check for r in reports] == ["polygon-edge-bound",
+                                              "unbalanced-z-bound"]
+        polygon, unbalanced = reports
+        assert polygon.rhs == polygon_edge_bound(8, 2)
+        assert unbalanced.rhs == 15 ** 0.75 + 5
+        assert res.value == 8
+        assert polygon.holds and unbalanced.holds
+        assert unbalanced.note == "(a, b) = (3, 5)"
+
+    def test_bounds_fail_on_a_value_above_them(self):
+        res = zarankiewicz_ab(3, 5, C4)
+        # 13 edges exceed both the polygon bound 9.21 and 15^0.75 + 5 = 12.62
+        inflated = SearchResult(
+            kind=res.kind, instance=res.instance, family=res.family,
+            value=13, witnesses=(), nodes=0, completed=True)
+        reports = verify_upper_bounds([inflated])
+        assert len(reports) == 2
+        assert not any(r.holds for r in reports)
 
     def test_solve_polygon_order(self):
         assert abs(solve_polygon_order(14, 2) - 2) < 1e-9
         assert abs(solve_polygon_order(2 * (9 + 3 + 1), 2) - 3) < 1e-9
 
+    @pytest.mark.parametrize("ell", [0, -1])
+    def test_solve_polygon_order_rejects_ell_below_one(self, ell):
+        with pytest.raises(ValueError):
+            solve_polygon_order(14, ell)
+
+    def test_polygon_counts(self):
+        # Heawood (ell = 2) and Tutte-Coxeter (ell = 3) at q = 2
+        assert polygon_vertex_count(2, 2) == 14
+        assert polygon_vertex_count(2, 3) == 30
+        assert polygon_vertex_count(3, 3) == 80
+        assert abs(polygon_edge_bound(14, 2) - 21) < 1e-9
+        assert abs(polygon_edge_bound(80, 3) - 160) < 1e-9
+
 
 class TestDiscrepancyWitness:
-    def test_q2(self):
-        graph, rep = discrepancy_witness(3, 2)
-        assert (graph.n, graph.m) == (30, 46)
+    def test_q2(self, tutte_coxeter):
+        rep = discrepancy_witness(tutte_coxeter)
+        assert (rep.graph.n, rep.graph.m) == (30, 46)
         assert rep.certified
         assert 3 in rep.spectrum and not rep.spectrum & {4, 5, 6}
         assert rep.edges == rep.base_edges + 1
 
     def test_q3(self):
-        graph, rep = discrepancy_witness(3, 3)
-        assert (graph.n, graph.m) == (80, 161)
+        rep = discrepancy_witness(incidence_graph(gq_w3(3)))
+        assert (rep.graph.n, rep.graph.m) == (80, 161)
         assert rep.certified
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedInstance):
-            discrepancy_witness(2, 2)
-        with pytest.raises(UnsupportedInstance):
-            discrepancy_witness(3, 5)
 
 
 def brute_z(a, b, lengths):
@@ -729,9 +763,7 @@ def _reference_result(kind, instance, family, value, labeled, nodes,
         witnesses=tuple(sorted(graph6_encode(relabel(G, perm))
                                for G, perm in labeled)),
         nodes=nodes,
-        wall_time=0.0,
         completed=completed,
-        note="" if completed else "budget-truncated",
     )
 
 
@@ -786,7 +818,7 @@ def _reference_z(a, b, family, limit, order_seed, floor=-1):
                              completed=True)
 
 
-def _reference_merge(n, family, results, completed, note=""):
+def _reference_merge(n, family, results, completed):
     """The best split value with the witnesses of every split attaining it;
     the empty graph bounds the value below by 0."""
     best = max([0] + [r.value for r in results])
@@ -799,9 +831,7 @@ def _reference_merge(n, family, results, completed, note=""):
         value=best,
         witnesses=tuple(witnesses),
         nodes=sum(r.nodes for r in results),
-        wall_time=0.0,
         completed=completed,
-        note=note,
     )
 
 
@@ -822,21 +852,19 @@ def _reference_z_n(n, family, limit, order_seed):
         raise BudgetExceeded(
             f"row search z({n}; {family.describe()}) exceeded its budget of "
             f"{limit} search nodes",
-            _reference_merge(n, family, results, completed=False,
-                             note="budget-truncated")) from exc
+            _reference_merge(n, family, results, completed=False)) from exc
     return _reference_merge(n, family, results,
                             completed=all(r.completed for r in results))
 
 
 def _driver_outcome(call, budget):
-    """(value, witnesses, completed, nodes, note, message) of a call at a
+    """(value, witnesses, completed, nodes, message) of a call at a
     budget, truncated or not; message is None when it completes."""
     try:
         res, message = call(budget), None
     except BudgetExceeded as exc:
         res, message = exc.result, str(exc)
-    return (res.value, res.witnesses, res.completed, res.nodes, res.note,
-            message)
+    return res.value, res.witnesses, res.completed, res.nodes, message
 
 
 ORACLE_AB = ([(a, b) for a in range(1, 25) for b in range(a, 25)
@@ -848,7 +876,7 @@ ORACLE_AB = ([(a, b) for a in range(1, 25) for b in range(a, 25)
 def test_one_walk_matches_split_by_split_driver(lengths, order_seed):
     """The one walk over staircase steps and final shapes gives z(a, b) and
     z(n) exactly as the split-by-split driver did: value, witnesses,
-    completeness, nodes, note and the budget message, at budgets from 0 to
+    completeness, nodes and the budget message, at budgets from 0 to
     the full run's nodes."""
     family = FamilySpec.of(*lengths)
     cases = [(functools.partial(zarankiewicz_ab, a, b, family,
@@ -1179,7 +1207,7 @@ def test_truncated_turan_is_an_honest_lower_bound(n, lengths, order_seed):
         with pytest.raises(BudgetExceeded) as err:
             turan_number(n, family, budget=budget, order_seed=order_seed)
         res = err.value.result
-        assert not res.completed and res.note == "budget-truncated"
+        assert not res.completed
         assert previous <= res.value <= full.value
         assert res.witnesses
         for enc in res.witnesses:
@@ -1202,7 +1230,7 @@ def test_truncated_long_family_z_is_an_honest_lower_bound(order_seed):
         with pytest.raises(BudgetExceeded) as err:
             zarankiewicz_ab(6, 6, family, budget=budget, order_seed=order_seed)
         res = err.value.result
-        assert not res.completed and res.note == "budget-truncated"
+        assert not res.completed
         assert previous <= res.value <= full.value
         assert res.witnesses
         for enc in res.witnesses:

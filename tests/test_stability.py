@@ -62,6 +62,10 @@ class TestBestRoot:
         v, count = best_root(g, 1)
         assert v == 1 and count == 3  # each leaf starts leaves-1 paths
 
+    def test_empty_graph_has_no_root(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            best_root(Graph(0), 2)
+
     def test_one_budget_covers_all_roots(self):
         """PG(2,3) incidence is 4-regular on 26 vertices, so the paths of
         length 3 from one root take 1 + 4 + 12 + 36 = 53 DFS nodes, and
