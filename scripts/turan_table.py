@@ -48,6 +48,8 @@ def main():
     ap.add_argument("--ell", type=int, default=2,
                     help="forbid even cycles up to length 2*ell")
     args = ap.parse_args()
+    if args.ell < 2:
+        ap.error("--ell must be at least 2")
 
     table = [(name, search, family, max(12, len(name)))
              for name, search, family in columns(args.ell)]

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tabulate exact bipartite extremal numbers z(a, b) for a forbidden even
-cycle family, next to the closed-form upper bound (ab)^(1/2+1/(2L)) + max(a,b).
+cycle family, next to the closed-form upper bound (ab)^(1/2+1/(2L)) + max(a,b)
+at the largest L <= ell that is 2 or odd, which the table prints.
 
 Usage:
   python scripts/zarankiewicz_table.py --max-side 7
@@ -23,10 +24,14 @@ def main():
     ap.add_argument("--ell", type=int, default=2,
                     help="forbid even cycles up to length 2*ell")
     args = ap.parse_args()
+    if args.ell < 2:
+        ap.error("--ell must be at least 2")
 
     family = FamilySpec.even_cycles(args.ell)
+    # the bound holds for ell = 2 or odd, so an even ell >= 4 takes ell - 1
     ell = family.even_run_ell()
     print(f"forbidden: {family.describe()}")
+    print(f"bound: (ab)^(1/2+1/(2*ell)) + max(a, b) at ell = {ell}")
     print(f"{'a':>3} {'b':>3} {'z':>4} {'bound':>8} {'nodes':>10} {'sec':>7}")
     for a in range(2, args.max_side + 1):
         for b in range(a, args.max_side + 1):

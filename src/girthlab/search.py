@@ -64,14 +64,27 @@ wrong, so the bound checks results instead (verify_upper_bounds). Cycles
 are cut by fact (c) applied to the new row as the added vertex x: the row
 keeps the family out iff its columns are independent in the conflict graph
 of the rows placed so far. Odd lengths never close a cycle in a bipartite
-graph, so a family without even lengths has no conflicts and the search
-finds K_{a,b}; a part of size 0 leaves no rows, and the root records the
-empty graph. For C4 alone the conflicts of column c are the union of the
-rows that contain c, since two columns joined by a path of two edges share
-a row; longer even lengths take the column entries of the conflict masks.
-With u columns used, a row of size s is I + (u, ..., u+f-1), f = 0, 1, ...,
-with I from _independent_sets(old, conf, s - f) over the used columns old,
-as in the Turán search. These are the rows a walk picking columns upwards
+graph; a part of size 0 leaves no rows, and the root records the empty
+graph. Let the even lengths of the family be exactly 4, 6, ..., 2*ell, with
+ell = 1 when it has none. Then two columns conflict iff their distance in
+the rows graph is at most 2*ell - 2: a path of L - 2 edges bounds the
+distance, and conversely a shortest path is a path, its length d is even
+because both ends are columns, and C_{d+2} is in the family when
+2 <= d <= 2*ell - 2. So the search carries distance balls down the
+recursion, one set per depth: B_j[c], the columns within distance 2j of
+column c, for j = 0, ..., ell - 1. A new row with columns R joins the graph
+as one vertex r, and a shortest path through r enters and leaves it through
+R once. So with U_i the union of B_i[v] over v in R, and d_c the least i
+with c in U_i, both from the old balls, B_k[c] gains U_{k - d_c - 1} for
+every k > d_c, and gains nothing else. The conflicts of c are B_{ell-1}[c],
+which holds c itself, a bit no row reads. For C4 alone (ell = 2) they are
+the union of the rows that contain c, and a family without even lengths
+(ell = 1) has none, so the search finds K_{a,b}. A family with a gap in its
+even lengths, such as {C6} or {C4, C8}, runs the path DFS of fact (c) over
+the rows graph at every node instead. With u columns used, a row of size s
+is I + (u, ..., u+f-1), f = 0, 1, ..., with I from _independent_sets(old,
+conf, s - f) over the used columns old, as in the Turán search, read from
+the set bits of I. These are the rows a walk picking columns upwards
 outside the union of the picked columns' conflicts builds: an unused column
 is in no row, so it has and is in no conflicts; the walk takes no old
 column after a fresh one; conflicts are symmetric; and bit_count() >= size
@@ -462,6 +475,54 @@ def _staircase(r: int, c: int) -> list:
             + [(r, d) for d in range(r + 1, c + 1)])
 
 
+def _members(mask: int) -> tuple:
+    """The set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _ball_ell(even: tuple):
+    """ell when the even lengths are exactly 4, 6, ..., 2*ell (ell = 1 for
+    none), the families whose conflicts are distance balls; None for a
+    family with a gap."""
+    ell = len(even) + 1
+    return ell if even == tuple(range(4, 2 * ell + 1, 2)) else None
+
+
+def _grown_balls(balls: list, row: tuple) -> list:
+    """The distance balls after a row with columns row joins the rows graph:
+    balls[j][c] holds the columns within distance 2j of column c (the module
+    docstring's update)."""
+    ell = len(balls)
+    # reach[i]: the columns within distance 2i of the row, the union of
+    # balls[i][v] over v in row; reach[0] is the row itself
+    reach = []
+    for ball in balls[:-1]:
+        u = 0
+        for v in row:
+            u |= ball[v]
+        reach.append(u)
+    grown = [balls[0]]
+    for k in range(1, ell):
+        ball = balls[k][:]
+        nearer = 0
+        for d in range(k):
+            # the columns c with d_c = d gain reach[k - d - 1]
+            ring = reach[d] & ~nearer
+            nearer |= reach[d]
+            gain = reach[k - d - 1]
+            while ring:
+                low = ring & -ring
+                ring ^= low
+                ball[low.bit_length() - 1] |= gain
+        grown.append(ball)
+    return grown
+
+
 class _ZarankiewiczSearch:
     """Branch and bound over rows (neighborhood sets of the smaller part).
 
@@ -476,6 +537,10 @@ class _ZarankiewiczSearch:
         self.cols_n = max(a, b)
         self.family = family
         self.even = family.even_lengths
+        self.ell = _ball_ell(self.even)
+        if self.ell is not None:
+            # balls[depth][j][c]: the columns within distance 2j of c
+            self.balls = [[[1 << c for c in range(self.cols_n)]] * self.ell]
         self.limit = limit
         self.nodes = 0
         self.best = floor
@@ -492,12 +557,13 @@ class _ZarankiewiczSearch:
     def make_graph(self, rows) -> Graph:
         return _rows_graph(rows, self.rows_n, self.cols_n)
 
-    def record(self):
-        total = sum(len(r) for r in self.rows)
-        if total < self.best:
+    def record(self, edges):
+        """Keep the configuration of the rows so far, with edges edges, when
+        it reaches the best."""
+        if edges < self.best:
             return
-        if total > self.best:
-            self.best = total
+        if edges > self.best:
+            self.best = edges
             self.tied = {}
         self.tied[tuple(self.rows)] = None
 
@@ -518,17 +584,17 @@ class _ZarankiewiczSearch:
 
     def column_conflicts(self) -> list:
         """conf[c]: the columns that may not share the next row with column
-        c, as a column bitmask (fact (c) for the new row vertex)."""
-        if not self.even:
-            # odd cycles never embed in a bipartite graph
-            return [0] * self.cols_n
-        if self.even == (4,):
-            conf = [0] * self.cols_n
-            for row in self.rows:
-                bits = sum(1 << c for c in row)
-                for c in row:
-                    conf[c] |= bits
-            return conf
+        c, as a column bitmask (fact (c) for the new row vertex); it may hold
+        c itself. For a ball family, balls[depth] are the balls of the first
+        depth rows, and each call grows those of its depth from the depth
+        above by the last row: so every node calls this once, before its
+        children."""
+        if self.ell is not None:
+            depth = len(self.rows)
+            if depth:
+                self.balls[depth:] = [_grown_balls(self.balls[depth - 1],
+                                                   self.rows[-1])]
+            return self.balls[depth][-1]
         # the neighbour masks of the rows graph: row i is vertex i, column c
         # is vertex rows_n + c
         shift = self.rows_n
@@ -558,7 +624,7 @@ class _ZarankiewiczSearch:
             raise self.over_budget()
         row_index = len(self.rows)
         if row_index == self.rows_n:
-            self.record()
+            self.record(edges)
             return
         rows_left = self.rows_n - row_index
         prev = self.rows[-1] if self.rows else None
@@ -567,7 +633,7 @@ class _ZarankiewiczSearch:
                                  len(prev) if prev else self.cols_n):
             if s == 0:
                 # all remaining rows empty
-                self.record()
+                self.record(edges)
                 continue
             # row sizes never increase: the rows left hold at most s each
             if edges + rows_left * s < self.best:
@@ -580,8 +646,7 @@ class _ZarankiewiczSearch:
             for f in range(min(s, self.cols_n - used_cols) + 1):
                 fresh = tuple(range(used_cols, used_cols + f))
                 for chosen in _independent_sets(old, conf, s - f):
-                    row = tuple(c for c in range(used_cols)
-                                if chosen >> c & 1) + fresh
+                    row = _members(chosen) + fresh
                     if tied and row < prev:
                         continue
                     self.nodes += 1

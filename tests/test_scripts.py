@@ -1,17 +1,26 @@
 """Smoke tests of the scripts in scripts/: each runs as its own process,
-exits 0, and prints a few known values."""
+exits 0 (2 on a usage error), and prints a few known values."""
 
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args, budget=None):
     """stdout of a script run with GIRTHLAB_BUDGET set to budget, or unset
-    when budget is None."""
+    when budget is None, which must exit 0."""
+    proc = run_process(name, *args, budget=budget)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def run_process(name, *args, budget=None):
+    """The finished process of a script run, as run_script runs it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
@@ -19,10 +28,8 @@ def run_script(name, *args, budget=None):
     env.pop("GIRTHLAB_BUDGET", None)
     if budget is not None:
         env["GIRTHLAB_BUDGET"] = str(budget)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
                            *args], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def rows(stdout):
@@ -35,6 +42,26 @@ def test_zarankiewicz_table():
     assert table[0] == ["forbidden:", "{C4}"]
     (row,) = [r for r in table if r[:2] == ["4", "4"]]
     assert row[2] == "9"
+
+
+def test_zarankiewicz_table_names_the_bound_ell():
+    """The bound holds for ell = 2 or odd, so the table for {C4, C6, C8}
+    prints that its bound column takes ell = 3."""
+    table = rows(run_script("zarankiewicz_table.py", "--ell", "4",
+                            "--max-side", "3"))
+    assert table[0] == ["forbidden:", "{C4,", "C6,", "C8}"]
+    assert table[1][-3:] == ["ell", "=", "3"]
+    (row,) = [r for r in table if r[:2] == ["3", "3"]]
+    assert row[2:4] == ["5", "7.33"]
+
+
+@pytest.mark.parametrize("name", ["zarankiewicz_table.py", "turan_table.py"])
+def test_ell_below_two_is_a_usage_error(name):
+    proc = run_process(name, "--ell", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(
+        "error: --ell must be at least 2")
+    assert "Traceback" not in proc.stderr
 
 
 def test_zarankiewicz_table_truncated():

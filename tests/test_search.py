@@ -292,6 +292,16 @@ class TestZarankiewicz:
         for enc in res.witnesses:
             assert is_family_free(graph6_decode(enc), 2)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n,lengths,value,nodes,witnesses", [
+        (18, (4, 6), 22, 291_211, 6), (16, (4, 6, 8), 17, 62_654, 29)])
+    def test_reach(self, n, lengths, value, nodes, witnesses):
+        """z(n) for ell = 3 and 4 at the default order: the value, the node
+        count and the number of extremal classes."""
+        res = zarankiewicz_number(n, FamilySpec.of(*lengths))
+        assert (res.value, res.nodes, len(res.witnesses), res.completed) == (
+            value, nodes, witnesses, True)
+
 
 class TestFourteenVertices:
     def test_heawood_is_the_unique_witness(self, heawood):
@@ -467,13 +477,14 @@ class _EagerZarankiewicz(search._ZarankiewiczSearch):
         super().__init__(*args)
         self.classes = {}
 
-    def record(self):
+    def record(self, edges):
         total = sum(len(r) for r in self.rows)
+        assert edges == total, (self.rows, edges)
         if total < self.best:
             return
         if total > self.best:
             self.classes = {}
-        super().record()
+        super().record(total)
         G = self.make_graph(self.rows)
         key, perm, _ = canonical_labeling(G)
         self.classes.setdefault(key, (G, perm))
@@ -666,6 +677,86 @@ def test_conflict_masks_match_row_checked_reference(monkeypatch, lengths,
             assert fast[3] <= slow[3], (a, b)
 
 
+def _path_conflicts(rows, rows_n, cols_n, even):
+    """Reference: conf[c] from the rows graph, by the path DFS _conflicts
+    from each column vertex, with no state kept between nodes."""
+    if not even:
+        # odd cycles never embed in a bipartite graph
+        return [0] * cols_n
+    # the neighbour masks of the rows graph: row i is vertex i, column c
+    # is vertex rows_n + c
+    shift = rows_n
+    bits = [0] * (shift + cols_n)
+    for i, row in enumerate(rows):
+        for c in row:
+            bits[i] |= 1 << (shift + c)
+            bits[shift + c] |= 1 << i
+    return [conf >> shift for conf in
+            search._conflicts(bits, even, range(shift, shift + cols_n))]
+
+
+def _without_self(conf):
+    """The conflict masks with each column's own bit cleared, which no row
+    search reads."""
+    return [mask & ~(1 << c) for c, mask in enumerate(conf)]
+
+
+class _ConflictCheckedZarankiewicz(search._ZarankiewiczSearch):
+    """The row search, asserting at every node that the conflicts it carries
+    are the path DFS's."""
+
+    def column_conflicts(self):
+        conf = super().column_conflicts()
+        assert _without_self(conf) == _path_conflicts(
+            self.rows, self.rows_n, self.cols_n, self.even), self.rows
+        return conf
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+@pytest.mark.parametrize("lengths", [(4,), (4, 6), (4, 6, 8), (4, 6, 8, 10)])
+def test_carried_balls_match_path_conflicts(monkeypatch, lengths, order_seed):
+    """At every node of the row search, the distance balls carried down the
+    recursion give the conflicts that the path DFS over the rows graph
+    gives, and the search's outcome is unchanged."""
+    family = FamilySpec.of(*lengths)
+    for a, b in SMALL_AB:
+        _against_reference(
+            monkeypatch, "_ZarankiewiczSearch", _ConflictCheckedZarankiewicz,
+            functools.partial(zarankiewicz_ab, a, b, family,
+                              order_seed=order_seed))
+        monkeypatch.undo()
+
+
+@st.composite
+def rows_placed_and_removed(draw):
+    """A column count up to 8 and a sequence of steps, each a row (a set of
+    columns) to place or None to remove the last one."""
+    cols = draw(st.integers(1, 8))
+    steps = draw(st.lists(st.none() | st.sets(st.integers(0, cols - 1)),
+                          max_size=12))
+    return cols, steps
+
+
+@given(rows_placed_and_removed(),
+       st.sampled_from([(3,), (4,), (4, 5), (4, 6), (4, 6, 8), (3, 4, 6, 7),
+                        (4, 6, 8, 10)]))
+@settings(max_examples=300, deadline=None)
+def test_ball_update_matches_path_conflicts(case, lengths):
+    """Rows placed and removed depth first, as the row search places them,
+    in any configuration, not only family-free ones: after each step the
+    carried balls give the path DFS's conflicts."""
+    cols, steps = case
+    run = search._ZarankiewiczSearch(1, cols, FamilySpec.of(*lengths), 0, None)
+    for step in steps:
+        if step is None:
+            if run.rows:
+                run.rows.pop()
+        else:
+            run.rows.append(tuple(sorted(step)))
+        assert _without_self(run.column_conflicts()) == _path_conflicts(
+            run.rows, len(run.rows), cols, run.even), run.rows
+
+
 class _ColumnWalkZarankiewicz(search._ZarankiewiczSearch):
     """Reference: each row is built one column at a time, in increasing
     order, skipping a column in conflict with one already picked or with no
@@ -679,7 +770,7 @@ class _ColumnWalkZarankiewicz(search._ZarankiewiczSearch):
             raise self.over_budget()
         row_index = len(self.rows)
         if row_index == self.rows_n:
-            self.record()
+            self.record(edges_sum)
             return
         rows_left = self.rows_n - row_index
         prev_row = self.rows[-1] if self.rows else None
@@ -689,7 +780,7 @@ class _ColumnWalkZarankiewicz(search._ZarankiewiczSearch):
             XorShift64Star(self.order_seed + row_index).shuffle(sizes)
         for s in sizes:
             if s == 0:
-                self.record()
+                self.record(edges_sum)
                 continue
             if edges_sum + rows_left * s < self.best:
                 continue
@@ -939,12 +1030,11 @@ class _UnprunedZarankiewicz(search._ZarankiewiczSearch):
 
     running = -1
 
-    def record(self):
-        total = sum(len(r) for r in self.rows)
-        if total > self.running:
-            self.running = total
+    def record(self, edges):
+        if edges > self.running:
+            self.running = edges
             self.tied = {}
-        if total == self.running:
+        if edges == self.running:
             self.tied[tuple(self.rows)] = None
 
     def search(self, used_cols, edges):
@@ -977,7 +1067,7 @@ class _UnorderedRowsZarankiewicz(search._ZarankiewiczSearch):
             raise self.over_budget()
         row_index = len(self.rows)
         if row_index == self.rows_n:
-            self.record()
+            self.record(edges)
             return
         rows_left = self.rows_n - row_index
         prev = self.rows[-1] if self.rows else None
@@ -985,7 +1075,7 @@ class _UnorderedRowsZarankiewicz(search._ZarankiewiczSearch):
         for s in self.size_order(row_index,
                                  len(prev) if prev else self.cols_n):
             if s == 0:
-                self.record()
+                self.record(edges)
                 continue
             if edges + rows_left * s < self.best:
                 continue
@@ -1033,7 +1123,7 @@ class _AnyFreshColumnsZarankiewicz(search._ZarankiewiczSearch):
             raise self.over_budget()
         row_index = len(self.rows)
         if row_index == self.rows_n:
-            self.record()
+            self.record(edges)
             return
         rows_left = self.rows_n - row_index
         prev = self.rows[-1] if self.rows else None
@@ -1041,7 +1131,7 @@ class _AnyFreshColumnsZarankiewicz(search._ZarankiewiczSearch):
         for s in self.size_order(row_index,
                                  len(prev) if prev else self.cols_n):
             if s == 0:
-                self.record()
+                self.record(edges)
                 continue
             if edges + rows_left * s < self.best:
                 continue
