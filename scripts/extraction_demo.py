@@ -12,6 +12,7 @@ import argparse
 
 from girthlab.geometry import polarity_graph
 from girthlab.graph import is_family_free
+from girthlab.search import FamilySpec
 from girthlab.stability import extract_bipartite, high_degree_edge_fraction
 
 
@@ -34,8 +35,8 @@ def main():
     print(f"extracted bipartite subgraph: {rep.subgraph.n} vertices, "
           f"{rep.edges_extracted} edges (d^{args.ell + 1} = "
           f"{d ** (args.ell + 1):.1f})")
-    print(f"subgraph inherits forbidden-cycle freeness: "
-          f"{is_family_free(rep.subgraph, args.ell)}")
+    free = is_family_free(rep.subgraph, FamilySpec.even_cycles(args.ell))
+    print(f"subgraph inherits forbidden-cycle freeness: {free}")
     outliers = high_degree_edge_fraction(g, 0.5)
     print(f"edges at degree >= 1.5*sqrt(n) vertices: "
           f"{outliers.edges_at_sqrt_outliers} (bound {outliers.sqrt_bound:.1f})")

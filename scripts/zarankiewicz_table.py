@@ -15,7 +15,12 @@ import argparse
 import time
 
 from girthlab.errors import BudgetExceeded
-from girthlab.search import FamilySpec, unbalanced_z_bound, zarankiewicz_ab
+from girthlab.search import (
+    FamilySpec,
+    bound_ell,
+    unbalanced_z_bound,
+    zarankiewicz_ab,
+)
 
 
 def main():
@@ -28,8 +33,7 @@ def main():
         ap.error("--ell must be at least 2")
 
     family = FamilySpec.even_cycles(args.ell)
-    # the bound holds for ell = 2 or odd, so an even ell >= 4 takes ell - 1
-    ell = family.even_run_ell()
+    ell = bound_ell(args.ell)
     print(f"forbidden: {family.describe()}")
     print(f"bound: (ab)^(1/2+1/(2*ell)) + max(a, b) at ell = {ell}")
     print(f"{'a':>3} {'b':>3} {'z':>4} {'bound':>8} {'nodes':>10} {'sec':>7}")

@@ -379,19 +379,13 @@ def contains_cycle(G: Graph, k: int, budget=None) -> bool:
     return _cycle_test(G, budget)(k)
 
 
-def is_family_free(G: Graph, ell: int, k=None, budget=None) -> bool:
-    """True iff G has no even cycle of length 4..2*ell and no C_k (if given).
+def is_family_free(G: Graph, family, budget=None) -> bool:
+    """True iff G has no cycle whose length is in family, a
+    search.FamilySpec.
 
-    The searches for the lengths share one budget."""
-    if ell < 2:
-        raise ValueError("ell must be >= 2")
-    lengths = list(range(4, 2 * ell + 1, 2))
-    if k is not None:
-        if k % 2 == 0 or k < 3:
-            raise ValueError("k must be an odd cycle length >= 3")
-        lengths.append(k)
+    The lengths are tested in increasing order and share one budget."""
     has = _cycle_test(G, budget)
-    return not any(has(length) for length in sorted(lengths))
+    return not any(has(length) for length in sorted(family.lengths))
 
 
 def odd_cycle_run(G: Graph, r: int, s: int, budget=None):

@@ -147,7 +147,13 @@ from .walks import FLOAT_SLACK, BoundReport
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A set of forbidden cycle lengths."""
+    """A forbidden cycle family: a nonempty set of cycle lengths >= 3.
+
+    It is the one form in which the package names a family: the searches,
+    graph.is_family_free and verify_upper_bounds all take it. Its shape is
+    even_run, the run C_4, C_6, ..., C_{2*ell} it holds. The row search
+    carries distance balls when that run holds every even length, and
+    verify_upper_bounds checks closed forms when the run is the family."""
 
     lengths: frozenset
 
@@ -182,18 +188,14 @@ class FamilySpec:
     def even_lengths(self) -> tuple:
         return tuple(sorted(x for x in self.lengths if x % 2 == 0))
 
-    def even_run_ell(self):
-        """Largest ell with {4, 6, ..., 2*ell} contained in the family and
-        ell equal to 2 or odd; None when no such ell >= 2 exists.
-
-        This is the regime in which unbalanced_z_bound applies.
-        """
-        if 4 not in self.lengths:
-            return None
-        ell = 2
-        while 2 * (ell + 1) in self.lengths:
+    @property
+    def even_run(self) -> int:
+        """The largest ell with C_4, C_6, ..., C_{2*ell} all in the family,
+        and 1 when C_4 is not."""
+        ell = 1
+        while 2 * ell + 2 in self.lengths:
             ell += 1
-        return ell - 1 if ell > 2 and ell % 2 == 0 else ell
+        return ell
 
     def describe(self) -> str:
         return "{" + ", ".join(f"C{x}" for x in sorted(self.lengths)) + "}"
@@ -485,14 +487,6 @@ def _members(mask: int) -> tuple:
     return tuple(out)
 
 
-def _ball_ell(even: tuple):
-    """ell when the even lengths are exactly 4, 6, ..., 2*ell (ell = 1 for
-    none), the families whose conflicts are distance balls; None for a
-    family with a gap."""
-    ell = len(even) + 1
-    return ell if even == tuple(range(4, 2 * ell + 1, 2)) else None
-
-
 def _grown_balls(balls: list, row: tuple) -> list:
     """The distance balls after a row with columns row joins the rows graph:
     balls[j][c] holds the columns within distance 2j of column c (the module
@@ -537,7 +531,9 @@ class _ZarankiewiczSearch:
         self.cols_n = max(a, b)
         self.family = family
         self.even = family.even_lengths
-        self.ell = _ball_ell(self.even)
+        # distance balls when the even lengths are exactly 4, ..., 2*ell
+        ell = family.even_run
+        self.ell = ell if len(self.even) == ell - 1 else None
         if self.ell is not None:
             # balls[depth][j][c]: the columns within distance 2j of c
             self.balls = [[[1 << c for c in range(self.cols_n)]] * self.ell]
@@ -776,20 +772,28 @@ def unbalanced_z_bound(a: int, b: int, ell: int) -> float:
     return (a * b) ** (0.5 + 0.5 / ell) + max(a, b)
 
 
+def bound_ell(ell: int) -> int:
+    """The largest ell' <= ell that is 2 or odd, the regime in which
+    unbalanced_z_bound applies; a graph without C_4, ..., C_{2*ell} is also
+    without C_4, ..., C_{2*ell'}."""
+    return ell - 1 if ell > 2 and ell % 2 == 0 else ell
+
+
 def verify_upper_bounds(results) -> list:
     """The closed-form upper bounds at each result that a wrong value would
     fail.
 
     For bipartite (z) instances whose family is exactly the even cycles up
-    to 2*ell (ell = 2 or odd): the polygon bound polygon_edge_bound, and
-    for two-part instances the unbalanced bound unbalanced_z_bound as well.
-    A Turán result, or a family with no closed form, yields no report.
+    to 2*ell, with bound_ell(ell) = ell: the polygon bound
+    polygon_edge_bound, and for two-part instances the unbalanced bound
+    unbalanced_z_bound as well. A Turán result, or a family with no closed
+    form, yields no report.
     """
     reports = []
     for res in results:
-        ell = res.family.even_run_ell()
-        if (ell is None or res.kind == "turan"
-                or res.family.lengths != frozenset(range(4, 2 * ell + 1, 2))):
+        ell = res.family.even_run
+        if (res.kind == "turan" or ell < 2 or bound_ell(ell) != ell
+                or res.family != FamilySpec.even_cycles(ell)):
             continue
         n = res.instance[0] if res.kind == "zarankiewicz" else sum(res.instance)
         bound = polygon_edge_bound(n, ell)

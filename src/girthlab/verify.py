@@ -67,12 +67,12 @@ from .spectral import (
 from .stability import check_degree_outlier_bound, high_degree_edge_fraction
 from .walks import (
     FLOAT_SLACK,
-    blakley_roy_bound,
+    check_blakley_roy,
     check_closed_walk_bound,
+    check_godsil,
     check_hoory_bipartite,
     check_path_lower_bound,
     closed_walk_count,
-    godsil_bound,
     nonreturning_count,
     walk_totals,
 )
@@ -291,11 +291,11 @@ def walks_suite(seed: int, constructed: dict, budget=None) -> list:
     bounds = (
         ("walk-floor", "Blakley-Roy walk bound", "k", range(1, 7),
          "check_blakley_roy",
-         lambda k: (blakley_roy_bound(g, k, t).holds
+         lambda k: (check_blakley_roy(g, k, t).holds
                     for g, t in zip(everything, totals))),
         ("walk-power-mean", "Godsil walk power mean", "r", (2, 4, 6),
          "check_godsil",
-         lambda r: (godsil_bound(g, r, s, t).holds
+         lambda r: (check_godsil(g, r, s, t).holds
                     for g, t in zip(everything, totals)
                     for s in range(1, r + 1))),
         ("path-floor", "path undercount bound", "ell", (2, 3, 4),

@@ -164,17 +164,10 @@ def _check_path_length(ell: int):
 
 def path_count(G: Graph, ell: int, budget=None) -> WalkCounts:
     """Number of directed paths (walks with all vertices distinct) of
-    length ell <= 8, by exhaustive DFS."""
+    length ell <= 8: the sum of paths_from_each_vertex."""
     _require_vertices(G)
-    _check_path_length(ell)
-    if ell == 0:
-        return WalkCounts(kind="path", length=0, total=G.n, n=G.n)
-    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
-    counts = _paths_by_start(
-        G, range(G.n), ell, limit,
-        f"path count of length {ell} on a graph with {G.n} vertices "
-        f"exceeded its budget of {limit} path nodes")
-    return WalkCounts(kind="path", length=ell, total=sum(counts), n=G.n)
+    return WalkCounts(kind="path", length=ell, n=G.n,
+                      total=sum(paths_from_each_vertex(G, ell, budget)))
 
 
 def paths_from_vertex(G: Graph, start: int, ell: int, budget=None) -> int:
@@ -201,15 +194,18 @@ def paths_from_each_vertex(G: Graph, ell: int, budget=None) -> list:
     limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
     return _paths_by_start(
         G, range(G.n), ell, limit,
-        f"paths of length {ell} from each vertex of a graph with {G.n} "
-        f"vertices exceeded their budget of {limit} path nodes")
+        f"path count of length {ell} on a graph with {G.n} vertices "
+        f"exceeded its budget of {limit} path nodes")
 
 
-def blakley_roy_bound(G: Graph, k: int, totals) -> BoundReport:
-    """Blakley-Roy at length k, given the walk totals of G (totals[k] is
-    the number of walks of length k): the average walk count is at least
-    d^k, with d the average degree. Holds for every simple graph; equality
-    on regular graphs."""
+def check_blakley_roy(G: Graph, k: int, totals=None) -> BoundReport:
+    """Average walk count of length k is at least d^k (d = average degree).
+
+    Holds for every simple graph; equality on regular graphs. totals, when
+    given, are the walk totals of G up to at least length k (walk_totals).
+    """
+    if totals is None:
+        totals = walk_totals(G, k)
     wk = Fraction(totals[k], G.n)
     rhs = G.average_degree() ** k
     return BoundReport(
@@ -221,24 +217,17 @@ def blakley_roy_bound(G: Graph, k: int, totals) -> BoundReport:
     )
 
 
-def check_blakley_roy(G: Graph, k: int) -> BoundReport:
-    """Average walk count of length k is at least d^k (d = average degree).
+def check_godsil(G: Graph, r: int, s: int, totals=None) -> BoundReport:
+    """Walk power-mean monotonicity: w_r^(1/r) >= w_s^(1/s) for even r >= s.
 
-    Holds for every simple graph; equality on regular graphs.
+    Decided exactly by comparing w_r^s against w_s^r in big-integer
+    arithmetic. totals, when given, are the walk totals of G up to at least
+    length r (walk_totals).
     """
-    return blakley_roy_bound(G, k, walk_totals(G, k))
-
-
-def _check_godsil_exponents(r: int, s: int):
     if r % 2 != 0 or not r >= s >= 1:
         raise ValueError("need r even and r >= s >= 1")
-
-
-def godsil_bound(G: Graph, r: int, s: int, totals) -> BoundReport:
-    """Godsil's power-mean inequality w_r^(1/r) >= w_s^(1/s) for even
-    r >= s >= 1, given the walk totals of G up to length r, decided exactly
-    by comparing w_r^s against w_s^r in big-integer arithmetic."""
-    _check_godsil_exponents(r, s)
+    if totals is None:
+        totals = walk_totals(G, r)
     lhs = Fraction(totals[r], G.n) ** s
     rhs = Fraction(totals[s], G.n) ** r
     return BoundReport(
@@ -249,16 +238,6 @@ def godsil_bound(G: Graph, r: int, s: int, totals) -> BoundReport:
         equality=lhs == rhs,
         note=f"compares w_{r}^{s} vs w_{s}^{r}",
     )
-
-
-def check_godsil(G: Graph, r: int, s: int) -> BoundReport:
-    """Walk power-mean monotonicity: w_r^(1/r) >= w_s^(1/s) for even r >= s.
-
-    Decided exactly by comparing w_r^s against w_s^r in big-integer
-    arithmetic.
-    """
-    _check_godsil_exponents(r, s)
-    return godsil_bound(G, r, s, walk_totals(G, r))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from girthlab.graph import (
     peel_min_degree,
     relabel,
 )
+from girthlab.search import FamilySpec
 from girthlab.verify import _constructed_set
 
 INF = math.inf
@@ -139,10 +140,12 @@ class TestGirthAndCycles:
         assert contains_cycle(heawood, 6)
 
     def test_family_free(self, heawood, tutte_coxeter):
-        assert is_family_free(heawood, 2)
-        assert not is_family_free(heawood, 3)
-        assert is_family_free(tutte_coxeter, 3, k=7)
-        assert is_family_free(path_graph(6), 5, k=3)
+        assert is_family_free(heawood, FamilySpec.even_cycles(2))
+        assert not is_family_free(heawood, FamilySpec.even_cycles(3))
+        assert is_family_free(tutte_coxeter,
+                              FamilySpec.even_cycles_plus_odd(3, 7))
+        assert is_family_free(path_graph(6),
+                              FamilySpec.even_cycles_plus_odd(5, 3))
 
     def test_odd_cycle_run(self):
         # wheel-like dense graph: odd cycles of many lengths
@@ -450,9 +453,10 @@ def test_exhaustive_search_expansion_counts(name):
 
 def test_family_free_lengths_share_one_budget(tutte_coxeter):
     # the C4 and C6 searches expand 81 + 154 paths
-    assert is_family_free(tutte_coxeter, 3, budget=235)
+    family = FamilySpec.even_cycles(3)
+    assert is_family_free(tutte_coxeter, family, budget=235)
     with pytest.raises(BudgetExceeded, match="budget of 234 path"):
-        is_family_free(tutte_coxeter, 3, budget=234)
+        is_family_free(tutte_coxeter, family, budget=234)
 
 
 def _nx(g):

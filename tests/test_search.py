@@ -114,12 +114,10 @@ class TestFamilySpec:
         assert hash(family) == hash(FamilySpec.even_cycles(3))
 
     def test_even_run(self):
-        assert FamilySpec.even_cycles(2).even_run_ell() == 2
-        assert FamilySpec.even_cycles(3).even_run_ell() == 3
-        assert FamilySpec.of(6).even_run_ell() is None
-        assert FamilySpec.of(4, 6, 8).even_run_ell() == 3
-        assert FamilySpec.of(4, 8).even_run_ell() == 2
-        assert FamilySpec.of(4, 6, 8, 10).even_run_ell() == 5
+        for ell in range(2, 8):
+            assert FamilySpec.even_cycles(ell).even_run == ell
+            assert FamilySpec.even_cycles_plus_odd(ell, 3).even_run == ell
+        assert FamilySpec.of(3).even_run == 1
 
 
 class TestTuran:
@@ -153,7 +151,7 @@ class TestTuran:
         for enc in res.witnesses:
             g = graph6_decode(enc)
             assert g.m == res.value
-            assert is_family_free(g, 2, k=5)
+            assert is_family_free(g, res.family)
 
     def test_order_invariance(self):
         base = turan_number(7, C4C5)
@@ -274,11 +272,11 @@ class TestZarankiewicz:
             len(edges)
             for mask in range(1 << 9)
             for edges in [[pairs[i] for i in range(9) if (mask >> i) & 1]]
-            if is_family_free(Graph(6, edges), 3)
+            if is_family_free(Graph(6, edges), FamilySpec.even_cycles(3))
         )
         res = zarankiewicz_ab(3, 3, FamilySpec.even_cycles(3))
         for enc in res.witnesses:
-            assert is_family_free(graph6_decode(enc), 3)
+            assert is_family_free(graph6_decode(enc), res.family)
         assert res.value == oracle == 5
 
     def test_order_invariance(self):
@@ -290,7 +288,7 @@ class TestZarankiewicz:
     def test_witnesses_quadrilateral_free(self):
         res = zarankiewicz_number(8, C4)
         for enc in res.witnesses:
-            assert is_family_free(graph6_decode(enc), 2)
+            assert is_family_free(graph6_decode(enc), C4)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n,lengths,value,nodes,witnesses", [
@@ -395,6 +393,59 @@ class TestDiscrepancyWitness:
         rep = discrepancy_witness(incidence_graph(gq_w3(3)))
         assert (rep.graph.n, rep.graph.m) == (80, 161)
         assert rep.certified
+
+
+# lengths, even_run, the row search's ball ell (None: the path DFS), and
+# whether verify_upper_bounds checks closed forms for the family
+FAMILY_SHAPES = [
+    ((3,), 1, 1, False),
+    ((4,), 2, 2, True),
+    ((4, 5), 2, 2, False),
+    ((4, 6), 3, 3, True),
+    ((4, 6, 7), 3, 3, False),
+    ((4, 6, 8), 4, 4, False),
+    ((4, 6, 8, 10), 5, 5, True),
+    ((6,), 1, None, False),
+    ((4, 8), 2, None, False),
+    ((3, 4), 2, 2, False),
+    ((4, 6, 10), 3, None, False),
+    ((3, 5), 1, 1, False),
+]
+
+
+@pytest.mark.parametrize("lengths,run,ball_ell,bounded", FAMILY_SHAPES)
+def test_family_shape_from_even_run(lengths, run, ball_ell, bounded):
+    """even_run, and what the row search and verify_upper_bounds derive
+    from it: balls exactly when the run holds every even length, and the
+    polygon (and, for two parts, the unbalanced) bound exactly for the
+    families C_4, ..., C_{2*ell} with ell = 2 or odd, never for Turán."""
+    family = FamilySpec.of(*lengths)
+    assert family.even_run == run
+    assert search._ZarankiewiczSearch(3, 5, family, 0, None).ell == ball_ell
+
+    def checks(kind, instance):
+        res = SearchResult(kind=kind, instance=instance, family=family,
+                           value=0, witnesses=(), nodes=0, completed=True)
+        return [rep.check for rep in verify_upper_bounds([res])]
+
+    polygon = ["polygon-edge-bound"] if bounded else []
+    unbalanced = ["unbalanced-z-bound"] if bounded else []
+    assert checks("zarankiewicz", (14,)) == polygon
+    assert checks("zarankiewicz_ab", (3, 5)) == polygon + unbalanced
+    assert checks("turan", (7,)) == []
+
+
+@pytest.mark.parametrize("lengths", [(6,), (4, 8), (3, 4), (4, 5), (4, 6, 7)])
+def test_witnesses_are_free_of_their_family(lengths):
+    """Every witness of both searches, for families with gaps, odd lengths
+    or both, is free of the result's family and has its value in edges."""
+    family = FamilySpec.of(*lengths)
+    for res in (zarankiewicz_ab(4, 5, family), turan_number(8, family)):
+        assert res.completed and res.witnesses
+        for enc in res.witnesses:
+            w = graph6_decode(enc)
+            assert w.m == res.value
+            assert is_family_free(w, res.family)
 
 
 def brute_z(a, b, lengths):

@@ -7,6 +7,7 @@ from girthlab.errors import BudgetExceeded, EpsilonOutOfRange
 from girthlab.geometry import incidence_graph, pg2_incidence, polarity_graph
 from girthlab.graph import Graph, contains_cycle, is_family_free
 from girthlab.rng import XorShift64Star
+from girthlab.search import FamilySpec
 from girthlab.stability import (
     best_root,
     check_degree_outlier_bound,
@@ -84,7 +85,7 @@ class TestExtraction:
     def test_subgraph_inherits_family_freeness(self):
         g = polarity_graph(5)
         rep = extract_bipartite(g, 2)
-        assert is_family_free(rep.subgraph, 2)
+        assert is_family_free(rep.subgraph, FamilySpec.even_cycles(2))
         assert rep.edges_extracted == rep.subgraph.m
 
     def test_edges_come_from_input(self):
