@@ -19,9 +19,12 @@ from girthlab.stability import extract_bipartite, high_degree_edge_fraction
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--q", type=int, default=5)
-    ap.add_argument("--ell", type=int, default=2)
+    ap.add_argument("--ell", type=int, default=2,
+                    help="extract between BFS layers ell and ell + 1")
     ap.add_argument("--delta", type=int, default=None)
     args = ap.parse_args()
+    if args.ell < 2:
+        ap.error("--ell must be at least 2")
 
     g = polarity_graph(args.q)
     d = float(g.average_degree())

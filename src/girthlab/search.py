@@ -5,7 +5,7 @@ construction.
 Turán search adds one vertex at a time (Garnick, Kwong & Lazebnik,
 Extremal graphs without three-cycles or four-cycles, J. Graph Theory 17,
 1993). Write ex(k) for ex(k, F) and S(k, t) for the isomorphism classes of
-F-free graphs on k vertices with at least t edges. Five facts make the
+F-free graphs on k vertices with at least t edges. Six facts make the
 search exact:
 
 (a) Threshold. ex(k) >= ex(k-1) + 1 for k >= 2, because a pendant vertex
@@ -40,14 +40,24 @@ search exact:
     same witnesses, as when every child is labeled. The sets skipped are
     still tried: they count as search nodes and against the budget, so node
     counts and the point where a budget stops the search do not change.
+(f) The last level. Level n is the only level that is not a parent, so a
+    child there matters only as a witness, and one with fewer edges than the
+    running best never is one: it is dropped unlabeled, though it still
+    counts as a search node. A child at or above the best is kept as its
+    parent and neighbour set, and the ties left when the search ends,
+    completed or not, are built and labeled once, one witness per class. An
+    orbit of (e) has one parent and one set size, so one edge count: the
+    sets of a dropped child's orbit are dropped too, and only a kept child
+    needs its orbit.
 
 So S(k, t) is built from S(k-1, t - floor(2t/k)) by adding x with every
 admissible N(x), and the levels are extended downwards as higher levels ask
-for lower thresholds. Isomorph rejection keeps one dict per level, keyed by
-canonical encoding, and labels the first child of each orbit (e) once;
-nothing is kept between calls. Search nodes count the neighbour sets tried,
-skipped ones included. A search its budget stops reports the best graph
-found at any level, padded to n vertices with pendant vertices.
+for lower thresholds. Isomorph rejection keeps one dict per level below n,
+keyed by canonical encoding, and labels the first child of each orbit (e)
+once; nothing is kept between calls. Search nodes count the neighbour sets
+tried, skipped and dropped ones included. A search its budget stops reports
+the best graph found at any level, padded to n vertices with pendant
+vertices.
 
 Zarankiewicz search is a row-based branch and bound over neighborhoods of
 the smaller part, under three sound symmetry rules (row sizes
@@ -303,6 +313,13 @@ def _orbit(mask: int, generators: list) -> set:
     return orbit
 
 
+def _child(P: Graph, neighbours: int) -> Graph:
+    """P with a new last vertex joined to the vertices in neighbours."""
+    x = P.n
+    return Graph(x + 1, P.edges() + [(v, x) for v in range(x)
+                                       if neighbours >> v & 1])
+
+
 def _padded(G: Graph, n: int) -> Graph:
     """G with a path of new vertices hung from its last vertex, up to n
     vertices: a pendant vertex lies on no cycle and adds one edge."""
@@ -310,10 +327,13 @@ def _padded(G: Graph, n: int) -> Graph:
 
 
 class _TuranSearch:
-    """Level sets of family-free graphs, one vertex at a time (facts (a)-(e)
+    """Level sets of family-free graphs, one vertex at a time (facts (a)-(f)
     of the module docstring). ``levels[k]`` maps canonical encodings to
     (graph, automorphisms the canonical search stored) and holds every class
-    on k vertices with at least ``floors[k]`` edges."""
+    on k vertices with at least ``floors[k]`` edges, for k < n. The last
+    level keeps no classes: ``tied`` holds its children at the running best
+    unlabeled, as (parent, neighbours), next to the lower-level graphs that
+    tie it, as (graph, None)."""
 
     def __init__(self, n, family, limit, order_seed):
         self.n = n
@@ -332,18 +352,24 @@ class _TuranSearch:
             f"its budget of {self.limit} search nodes")
 
     def run(self):
+        """Every level up to n; ex(n) is then best, since the last level
+        keeps no classes to read it from."""
         ex = 0
         for k in range(1, self.n + 1):
             threshold = ex + 1 if k >= 2 else 0
-            ex = max(G.m for G, _ in self.level(k, threshold).values())
+            level = self.level(k, threshold)
+            if k < self.n:
+                ex = max(G.m for G, _ in level.values())
 
     def level(self, k: int, threshold: int) -> dict:
         """levels[k], extended to hold every class with at least threshold
-        edges. Children with floors[k] edges or more are there already."""
+        edges. Children with floors[k] edges or more are there already. On
+        the last level the children go to record instead (fact (f))."""
         level = self.levels[k]
         ceiling = self.floors[k]
         if threshold >= ceiling:
             return level
+        last = k == self.n
         least = max(0, threshold - 2 * threshold // k)
         parents = [(P, automorphisms) for P, automorphisms
                    in self.level(k - 1, least).values() if P.m >= least]
@@ -359,42 +385,49 @@ class _TuranSearch:
                     self.nodes += 1
                     if self.nodes > self.limit:
                         raise self.over_budget()
-                    # fact (e): one labeled child per orbit
+                    # fact (f): a last-level child below the best is dropped
+                    if last and P.m + d < self.best:
+                        continue
+                    # fact (e): one child per orbit
                     if neighbours not in seen:
                         if generators:
                             seen |= _orbit(neighbours, generators)
-                        self.add(level, P, neighbours)
+                        if last:
+                            self.record(P.m + d, P, neighbours)
+                        else:
+                            self.add(level, P, neighbours)
         self.floors[k] = threshold
         return level
 
     def add(self, level: dict, P: Graph, neighbours: int):
-        x = P.n
-        child = Graph(x + 1, P.edges() + [(v, x) for v in range(x)
-                                           if neighbours >> v & 1])
-        labeling = canonical_labeling(child)
-        if labeling[0] not in level:
-            level[labeling[0]] = child, labeling[2]
-            self.record(child, labeling)
+        child = _child(P, neighbours)
+        key, _, automorphisms = canonical_labeling(child)
+        if key not in level:
+            level[key] = child, automorphisms
+            self.record(child.m + self.n - child.n, child)
 
-    def record(self, G: Graph, labeling):
-        """Keep the graphs whose padding to n vertices has the most edges:
-        each bounds ex(n) below whenever the search stops."""
-        value = G.m + self.n - G.n
+    def record(self, value: int, G: Graph, neighbours=None):
+        """Keep the graphs whose padding to n vertices has the most edges,
+        value: each bounds ex(n) below whenever the search stops. neighbours,
+        when given, makes G the parent of a last-level child."""
         if value > self.best:
             self.best = value
             self.tied = []
         if value == self.best:
-            self.tied.append((G, labeling))
+            self.tied.append((G, neighbours))
 
     def labeled_witnesses(self) -> list:
         """One (graph, canonical labeling) per isomorphism class among the
-        tied graphs, padded to n vertices."""
+        tied graphs, built and padded to n vertices: the only labelings of
+        last-level children."""
         classes = {}
-        for G, labeling in self.tied:
+        for G, neighbours in self.tied:
+            if neighbours is not None:
+                G = _child(G, neighbours)
             if G.n < self.n:
                 G = _padded(G, self.n)
-                labeling = canonical_labeling(G)
-            classes.setdefault(labeling[0], (G, labeling[1]))
+            key, perm, _ = canonical_labeling(G)
+            classes.setdefault(key, (G, perm))
         return list(classes.values())
 
 

@@ -278,10 +278,11 @@ def test_exposed_automorphisms_preserve_bits_on_constructions(name):
 
 
 def test_exposed_automorphisms_preserve_bits_on_turan_levels():
-    """Every class the Turán search keeps for ex(9; {C4, C5}), with the
+    """Every class the Turán search keeps for ex(10; {C4, C5}), with the
     automorphisms it stored for the class and the class's twin
-    transpositions. The levels hold graphs with twins and without."""
-    run = _TuranSearch(9, FamilySpec.of(4, 5), 10**9, None)
+    transpositions. The levels, 0 to 9, hold graphs with twins and
+    without."""
+    run = _TuranSearch(10, FamilySpec.of(4, 5), 10**9, None)
     run.run()
     classes = [value for level in run.levels for value in level.values()]
     assert len(classes) > 100
@@ -494,7 +495,7 @@ def test_partitions_match_colour_list_on_small_graphs(g, rnd):
 
 
 def test_partitions_match_colour_list_on_turan_levels():
-    run = _TuranSearch(9, FamilySpec.of(4, 5), 10**9, None)
+    run = _TuranSearch(10, FamilySpec.of(4, 5), 10**9, None)
     run.run()
     for level in run.levels:
         for g, _ in level.values():

@@ -55,7 +55,8 @@ def test_zarankiewicz_table_names_the_bound_ell():
     assert row[2:4] == ["5", "7.33"]
 
 
-@pytest.mark.parametrize("name", ["zarankiewicz_table.py", "turan_table.py"])
+@pytest.mark.parametrize("name", ["zarankiewicz_table.py", "turan_table.py",
+                                  "extraction_demo.py"])
 def test_ell_below_two_is_a_usage_error(name):
     proc = run_process(name, "--ell", "1")
     assert proc.returncode == 2

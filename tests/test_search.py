@@ -582,8 +582,9 @@ def test_turan_prefilter_matches_unfiltered_reference(lengths, order_seed):
 
 
 class _LabelEveryChild(search._TuranSearch):
-    """Reference: the level loop without orbit pruning (fact (e)). Every
-    admissible neighbour set is labeled."""
+    """Reference: the level loop without orbit pruning (fact (e)) or the
+    last-level drop (fact (f)). Every admissible neighbour set is labeled,
+    on every level."""
 
     def level(self, k, threshold):
         level = self.levels[k]
@@ -609,9 +610,43 @@ class _LabelEveryChild(search._TuranSearch):
         return level
 
 
+class _EagerLastLevel(search._TuranSearch):
+    """Reference: the level loop before fact (f). The last level keeps a
+    level dict like the others, and the first child of each orbit is
+    labeled when it is found, whatever its edge count."""
+
+    def level(self, k, threshold):
+        level = self.levels[k]
+        ceiling = self.floors[k]
+        if threshold >= ceiling:
+            return level
+        least = max(0, threshold - 2 * threshold // k)
+        parents = [(P, automorphisms) for P, automorphisms
+                   in self.level(k - 1, least).values() if P.m >= least]
+        if self.order_seed is not None:
+            XorShift64Star(self.order_seed + k).shuffle(parents)
+        for P, automorphisms in parents:
+            deg = P.degrees()
+            conflicts = search._conflicts(P.bits, self.family.lengths,
+                                          range(P.n))
+            generators = automorphisms + search.twin_transpositions(P)
+            seen = set()
+            for d in range(max(0, threshold - P.m), min(ceiling - P.m, k)):
+                for neighbours in search._neighbour_sets(deg, conflicts, d):
+                    self.nodes += 1
+                    if self.nodes > self.limit:
+                        raise self.over_budget()
+                    if neighbours not in seen:
+                        if generators:
+                            seen |= search._orbit(neighbours, generators)
+                        self.add(level, P, neighbours)
+        self.floors[k] = threshold
+        return level
+
+
 def _turan_run(monkeypatch, cls, call):
     """The outcome of call, run with cls as the Turán search, and the items
-    of every level of that search, in insertion order."""
+    of every level below n of that search, in insertion order."""
     runs = []
 
     class Recorded(cls):
@@ -622,7 +657,7 @@ def _turan_run(monkeypatch, cls, call):
     monkeypatch.setattr(search, "_TuranSearch", Recorded)
     outcome = _outcome(call)
     monkeypatch.undo()
-    return outcome, [list(level.items()) for level in runs[0].levels]
+    return outcome, [list(level.items()) for level in runs[0].levels[:-1]]
 
 
 @pytest.mark.parametrize("order_seed", [None, 1])
@@ -651,6 +686,49 @@ def test_truncated_orbit_pruning_matches_labeling_every_child(monkeypatch, n,
         call = functools.partial(turan_number, n, family, budget=budget)
         assert _turan_run(monkeypatch, search._TuranSearch, call) == \
             _turan_run(monkeypatch, _LabelEveryChild, call), budget
+
+
+@pytest.mark.parametrize("order_seed", [None, 1])
+@pytest.mark.parametrize("lengths", ORACLE_FAMILIES)
+def test_last_level_ties_match_eager_labeling(monkeypatch, lengths,
+                                              order_seed):
+    """Dropping last-level children below the running best and labeling
+    the ties once at the end keeps the value, witnesses, completeness and
+    node count, and every level below n item for item."""
+    family = FamilySpec.of(*lengths)
+    for n in range(1, 11):
+        call = functools.partial(turan_number, n, family,
+                                 order_seed=order_seed)
+        assert _turan_run(monkeypatch, search._TuranSearch, call) == \
+            _turan_run(monkeypatch, _EagerLastLevel, call), n
+
+
+@pytest.mark.parametrize("n,lengths", [(8, (4, 5)), (7, (3,)), (9, (4, 7))])
+def test_truncated_last_level_ties_match_eager_labeling(monkeypatch, n,
+                                                        lengths):
+    """A budget that stops the search on the last level reports the ties
+    it holds then, labeled, as the eager reference does."""
+    family = FamilySpec.of(*lengths)
+    full = turan_number(n, family)
+    for budget in range(0, full.nodes, max(1, full.nodes // 20)):
+        call = functools.partial(turan_number, n, family, budget=budget)
+        assert _turan_run(monkeypatch, search._TuranSearch, call) == \
+            _turan_run(monkeypatch, _EagerLastLevel, call), budget
+
+
+def test_last_level_labels_only_the_final_ties(monkeypatch):
+    """ex(9; {C4, C5}) at order seed 42 labels 202 graphs; labeling every
+    first child of an orbit on the last level took 297."""
+    labeled = []
+
+    def counting_labeling(G, *args):
+        labeled.append(G)
+        return canonical_labeling(G, *args)
+
+    monkeypatch.setattr(search, "canonical_labeling", counting_labeling)
+    res = turan_number(9, C4C5, order_seed=42)
+    assert (res.value, len(res.witnesses), res.completed) == (12, 8, True)
+    assert len(labeled) == 202
 
 
 @pytest.mark.parametrize("lengths", [(4,), (4, 6)])
