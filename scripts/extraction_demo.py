@@ -10,6 +10,7 @@ Usage:
 
 import argparse
 
+from girthlab.finite_field import SUPPORTED_ORDERS
 from girthlab.geometry import polarity_graph
 from girthlab.graph import is_family_free
 from girthlab.search import FamilySpec
@@ -18,13 +19,18 @@ from girthlab.stability import extract_bipartite, high_degree_edge_fraction
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--q", type=int, default=5)
+    ap.add_argument("--q", type=int, default=5, choices=SUPPORTED_ORDERS)
     ap.add_argument("--ell", type=int, default=2,
                     help="extract between BFS layers ell and ell + 1")
     ap.add_argument("--delta", type=int, default=None)
     args = ap.parse_args()
     if args.ell < 2:
         ap.error("--ell must be at least 2")
+    # the root is chosen by counting paths of length ell + 1 <= 8
+    if args.ell > 7:
+        ap.error("--ell must be at most 7")
+    if args.delta is not None and args.delta < 0:
+        ap.error("--delta must be at least 0")
 
     g = polarity_graph(args.q)
     d = float(g.average_degree())
@@ -38,8 +44,12 @@ def main():
     print(f"extracted bipartite subgraph: {rep.subgraph.n} vertices, "
           f"{rep.edges_extracted} edges (d^{args.ell + 1} = "
           f"{d ** (args.ell + 1):.1f})")
-    free = is_family_free(rep.subgraph, FamilySpec.even_cycles(args.ell))
-    print(f"subgraph inherits forbidden-cycle freeness: {free}")
+    if rep.edges_extracted:
+        free = is_family_free(rep.subgraph, FamilySpec.even_cycles(args.ell))
+        print(f"subgraph inherits forbidden-cycle freeness: {free}")
+    else:
+        # every vertex of layer ell + 1 has a neighbour in layer ell
+        print(f"layer {args.ell + 1} is empty: nothing extracted")
     outliers = high_degree_edge_fraction(g, 0.5)
     print(f"edges at degree >= 1.5*sqrt(n) vertices: "
           f"{outliers.edges_at_sqrt_outliers} (bound {outliers.sqrt_bound:.1f})")

@@ -8,6 +8,7 @@ normalized by n^(3/2). The normalized maximum should shrink as q grows.
 
 import argparse
 
+from girthlab.finite_field import SUPPORTED_ORDERS
 from girthlab.geometry import incidence_graph, pg2_incidence
 from girthlab.spectral import pseudorandomness_report, spectral_summary
 
@@ -16,8 +17,13 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=int, default=500)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4, 5])
+    # the eigensolver takes at most 512 vertices, 2(q^2 + q + 1) here
+    ap.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4, 5],
+                    choices=[q for q in SUPPORTED_ORDERS
+                             if 2 * (q * q + q + 1) <= 512])
     args = ap.parse_args()
+    if args.samples < 0:
+        ap.error("--samples must be at least 0")
 
     print(f"{'q':>3} {'n':>4} {'lam':>8} {'max_dev':>9} {'norm_max':>9} "
           f"{'norm_mean':>9}")

@@ -10,13 +10,22 @@ The generator is the xorshift64* family: state update
 
 followed by output ``(x * 2685821657736338717) mod 2**64``. A zero seed is
 replaced by the fixed constant 0x9E3779B97F4A7C15.
+
+Sampled vertex sets are defined one generator step per element (see
+:meth:`XorShift64Star.sample_mask`) but drawn through per-universe lookup
+tables, built on the first draw from each universe size; the masks and the
+generator states they leave are bit-identical to the per-step definition.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import compress
+
 _MASK = (1 << 64) - 1
 _MULT = 2685821657736338717
 _ZERO_SEED = 0x9E3779B97F4A7C15
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class XorShift64Star:
@@ -64,23 +73,64 @@ class XorShift64Star:
         """Bitmask over range(universe); each element kept with prob 1/2.
 
         Element i is kept when the i-th generator output is odd, so masks
-        are stable across implementations. The state steps run inline: the
-        output multiplier is odd, so an output's low bit is the state's low
-        bit and needs no multiply.
+        are stable across implementations; the generator ends where
+        ``universe`` calls of ``next_u64()`` leave it (``_step_draw`` is
+        that definition, one step per element).
+
+        The draw is one linear map. Each shift-xor of the state update is
+        linear over GF(2), and the output multiplier is odd, so an output's
+        low bit is the state's low bit. So the mask and the state after
+        ``universe`` steps, packed as ``mask << 64 | state``, are a
+        GF(2)-linear function of the state before the draw: the XOR of the
+        images of its 16 nibbles, each read from a table of 16 entries.
         """
         x = self.state
-        mask = 0
-        for i in range(universe):
-            x ^= x >> 12
-            x = (x ^ (x << 25)) & _MASK
-            x ^= x >> 27
-            if x & 1:
-                mask |= 1 << i
-        self.state = x
-        return mask
+        packed = 0
+        for table in _draw_tables(universe):
+            packed ^= table[x & 15]
+            x >>= 4
+        self.state = packed & _MASK
+        return packed >> 64
 
     def sample(self, pool) -> list:
         """The elements of pool kept by ``sample_mask(len(pool))``, in
         order."""
         mask = self.sample_mask(len(pool))
-        return [v for i, v in enumerate(pool) if (mask >> i) & 1]
+        # the mask's binary digits, lowest first, as bytes 0 and 1
+        keep = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+        return list(compress(pool, keep))
+
+
+def _step_draw(x: int, universe: int) -> tuple:
+    """(mask, state) after ``universe`` generator steps from state x: bit i
+    of the mask is the low bit of the state after step i + 1."""
+    mask = 0
+    for i in range(universe):
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _MASK
+        x ^= x >> 27
+        if x & 1:
+            mask |= 1 << i
+    return mask, x
+
+
+@functools.cache
+def _draw_tables(universe: int) -> tuple:
+    """Sixteen tables, one per nibble of the state: entry v of table j is
+    the packed draw ``mask << 64 | state`` from the state ``v << 4 * j``.
+
+    Built from the draws of the 64 one-bit states; by linearity every
+    other entry is the XOR of the entries of its bits.
+    """
+    units = []
+    for k in range(64):
+        mask, state = _step_draw(1 << k, universe)
+        units.append(mask << 64 | state)
+    tables = []
+    for j in range(16):
+        table = [0] * 16
+        for v in range(1, 16):
+            low = v & -v
+            table[v] = table[v ^ low] ^ units[4 * j + low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)

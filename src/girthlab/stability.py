@@ -124,8 +124,8 @@ def check_degree_outlier_bound(G: Graph, B, eps: float) -> BoundReport:
     threshold = (1 + eps) * math.sqrt(size)
     # edges into B, counted once per vertex, of the vertices of S: those
     # with at least the threshold of them
-    into_b = [k for k in ((bits & b_mask).bit_count() for bits in G.bits)
-              if k >= threshold]
+    into_b = [k for bits in G.bits
+              if (k := (bits & b_mask).bit_count()) >= threshold]
     lhs = sum(into_b)
     rhs = 2 * size / eps
     return BoundReport(

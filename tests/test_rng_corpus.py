@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from girthlab.corpus import (
     bipartite_corpus,
     c4_free_corpus,
@@ -7,6 +10,24 @@ from girthlab.corpus import (
 )
 from girthlab.graph import contains_cycle
 from girthlab.rng import XorShift64Star
+
+_MASK = (1 << 64) - 1
+SEEDS = (0, 1, 17, 42, 1 << 63, _MASK)
+
+
+def _reference_sample_mask(rng, universe):
+    """sample_mask as one generator step per element: the definition the
+    table-driven draw must reproduce bit for bit."""
+    x = rng.state
+    mask = 0
+    for i in range(universe):
+        x ^= x >> 12
+        x = (x ^ (x << 25)) & _MASK
+        x ^= x >> 27
+        if x & 1:
+            mask |= 1 << i
+    rng.state = x
+    return mask
 
 
 def test_deterministic_stream():
@@ -47,12 +68,53 @@ def test_sample_mask_bit_per_element():
             assert rng.next_u64() == twin.next_u64()
 
 
+def test_sample_mask_matches_the_per_step_reference():
+    """Mask, final state and the next output agree with the per-step loop
+    for every universe 0..200, across 64-bit word boundaries."""
+    for seed in SEEDS:
+        for universe in range(201):
+            rng, twin = XorShift64Star(seed), XorShift64Star(seed)
+            assert (rng.sample_mask(universe)
+                    == _reference_sample_mask(twin, universe)), (seed, universe)
+            assert rng.state == twin.state, (seed, universe)
+            assert rng.next_u64() == twin.next_u64()
+
+
+def test_chained_draws_reuse_tables_out_of_order():
+    """One generator drawing from mixed universes, tables built and reused
+    in any order, follows the reference draw for draw."""
+    universes = (80, 14, 0, 200, 14, 65, 64, 80, 1, 0, 200, 63, 14)
+    for seed in SEEDS:
+        rng, twin = XorShift64Star(seed), XorShift64Star(seed)
+        for universe in universes:
+            assert (rng.sample_mask(universe)
+                    == _reference_sample_mask(twin, universe))
+            assert rng.state == twin.state
+            assert rng.below(1000) == twin.below(1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, _MASK),
+       universes=st.lists(st.integers(0, 150), max_size=12))
+def test_sample_mask_matches_reference_on_any_draw_sequence(seed, universes):
+    rng, twin = XorShift64Star(seed), XorShift64Star(seed)
+    for universe in universes:
+        assert rng.sample_mask(universe) == _reference_sample_mask(twin,
+                                                                   universe)
+        assert rng.state == twin.state
+
+
 def test_sample_keeps_the_masked_elements():
-    pool = tuple(range(100, 170))
-    rng, twin = XorShift64Star(23), XorShift64Star(23)
-    mask = twin.sample_mask(len(pool))
-    assert rng.sample(pool) == [v for i, v in enumerate(pool) if mask >> i & 1]
-    assert rng.state == twin.state
+    """sample equals the comprehension over the reference mask, for a
+    range, a tuple and empty pools, and leaves the same state."""
+    pools = (range(3, 83), tuple(range(200, 130, -1)), (), range(0))
+    for seed in SEEDS:
+        rng, twin = XorShift64Star(seed), XorShift64Star(seed)
+        for pool in pools:
+            mask = _reference_sample_mask(twin, len(pool))
+            assert rng.sample(pool) == [v for i, v in enumerate(pool)
+                                        if (mask >> i) & 1]
+            assert rng.state == twin.state
 
 
 def test_corpora_reproducible():

@@ -65,6 +65,18 @@ def test_ell_below_two_is_a_usage_error(name):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--q", "3", "--ell", "8"), "error: --ell must be at most 7"),
+    (("--delta", "-1"), "error: --delta must be at least 0"),
+    (("--q", "6"), "error: argument --q: invalid choice: 6"),
+])
+def test_extraction_demo_usage_errors(args, message):
+    proc = run_process("extraction_demo.py", *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
+
+
 def test_zarankiewicz_table_truncated():
     """Under a budget of 40 nodes, z(4, 4) stops after 41 and prints its
     lower bound, flagged."""
@@ -112,7 +124,24 @@ def test_pseudorandomness_trend():
     assert any(r[:2] == ["3", "26"] for r in table)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--samples", "-1"), "error: --samples must be at least 0"),
+    (("--orders", "6"), "error: argument --orders: invalid choice: 6"),
+    (("--orders", "1"), "error: argument --orders: invalid choice: 1"),
+    (("--orders", "2", "16"), "error: argument --orders: invalid choice: 16"),
+])
+def test_pseudorandomness_trend_usage_errors(args, message):
+    proc = run_process("pseudorandomness_trend.py", *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr.splitlines()[-1]
+    assert "Traceback" not in proc.stderr
+
+
 def test_extraction_demo():
+    """Polarity graphs have diameter 2, so layer ell + 1 = 3 is empty and
+    the demo says so instead of checking an empty subgraph."""
     out = run_script("extraction_demo.py", "--q", "3")
     assert "polarity graph q=3: n=13 m=24" in out
-    assert "subgraph inherits forbidden-cycle freeness: True" in out
+    assert "extracted bipartite subgraph: 8 vertices, 0 edges" in out
+    assert "layer 3 is empty: nothing extracted" in out
+    assert "forbidden-cycle freeness" not in out

@@ -15,6 +15,8 @@ from girthlab.stability import (
     high_degree_edge_fraction,
     truncate_degrees,
 )
+from girthlab.verify import _constructed_set
+from girthlab.walks import FLOAT_SLACK, BoundReport
 
 
 def star(leaves):
@@ -168,3 +170,34 @@ class TestDegreeOutliers:
                     if not B:
                         continue
                     assert check_degree_outlier_bound(g, B, eps).holds
+
+    def test_one_pass_count_matches_two_generator_form(self):
+        """Over the verify suite's graphs and sampled sets, the one-pass
+        count gives the report the two-generator form gave."""
+        rng = XorShift64Star(71)
+        graphs = list(_constructed_set().values()) + c4_free_corpus(12, 72)
+        for g in graphs:
+            for eps in (0.3, 0.5, 1.0):
+                for _ in range(20):
+                    B = rng.sample(range(g.n))
+                    assert (check_degree_outlier_bound(g, B, eps)
+                            == _two_generator_outlier_bound(g, B, eps))
+
+
+def _two_generator_outlier_bound(G, B, eps):
+    """check_degree_outlier_bound with the count as a generator of
+    neighbour counts inside a filtering list comprehension."""
+    b_mask = G.mask(B)
+    size = b_mask.bit_count()
+    threshold = (1 + eps) * math.sqrt(size)
+    into_b = [k for k in ((bits & b_mask).bit_count() for bits in G.bits)
+              if k >= threshold]
+    lhs = sum(into_b)
+    rhs = 2 * size / eps
+    return BoundReport(
+        check="degree-outlier-endpoints",
+        lhs=lhs,
+        rhs=rhs,
+        holds=lhs <= rhs + FLOAT_SLACK,
+        note=f"|S| = {len(into_b)}, |B| = {size}, eps = {eps}",
+    )
