@@ -1,7 +1,14 @@
 #!/usr/bin/env python3
-"""Run the dense-bipartite-subgraph extraction on a polarity graph and print
-the layer profile, the retained edge count, and how it compares with the
-degree heuristics.
+"""Run the dense-bipartite-subgraph extraction on the distance-two
+augmentation of the W(3,q) incidence graph, the graph that
+`girthlab construct augment q` builds, and print the layer profile, the
+retained edge count, and how it compares with the degree heuristics.
+
+The augmented graph is free of C4, C5 and C6 but not bipartite, and its
+diameter is 4, so layers ell and ell + 1 are both nonempty for ell = 2, 3.
+(A polarity graph has diameter 2 and leaves nothing to extract.) At q = 3
+the layers are (1, 5, 14, 42) at ell = 2, with 42 edges extracted, and
+(1, 5, 14, 42, 18) at ell = 3, with 72.
 
 Usage:
   python scripts/extraction_demo.py --q 5
@@ -11,7 +18,7 @@ Usage:
 import argparse
 
 from girthlab.finite_field import SUPPORTED_ORDERS
-from girthlab.geometry import polarity_graph
+from girthlab.geometry import augment_distance_two, gq_w3, incidence_graph
 from girthlab.graph import is_family_free
 from girthlab.search import FamilySpec
 from girthlab.stability import extract_bipartite, high_degree_edge_fraction
@@ -32,9 +39,10 @@ def main():
     if args.delta is not None and args.delta < 0:
         ap.error("--delta must be at least 0")
 
-    g = polarity_graph(args.q)
+    g, _ = augment_distance_two(incidence_graph(gq_w3(args.q)))
     d = float(g.average_degree())
-    print(f"polarity graph q={args.q}: n={g.n} m={g.m} avg degree {d:.3f}")
+    print(f"augmented W(3,q) incidence graph q={args.q}: n={g.n} m={g.m} "
+          f"avg degree {d:.3f}")
     rep = extract_bipartite(g, args.ell, delta=args.delta)
     print(f"truncation threshold {rep.delta}: removed "
           f"{rep.removed_by_truncation} edges")

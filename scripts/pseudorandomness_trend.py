@@ -10,6 +10,7 @@ import argparse
 
 from girthlab.finite_field import SUPPORTED_ORDERS
 from girthlab.geometry import incidence_graph, pg2_incidence
+from girthlab.search import polygon_vertex_count
 from girthlab.spectral import pseudorandomness_report, spectral_summary
 
 
@@ -17,10 +18,11 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--samples", type=int, default=500)
     ap.add_argument("--seed", type=int, default=42)
-    # the eigensolver takes at most 512 vertices, 2(q^2 + q + 1) here
+    # the eigensolver takes at most 512 vertices, and PG(2, q) incidence
+    # graphs have polygon_vertex_count(q, 2)
     ap.add_argument("--orders", type=int, nargs="+", default=[2, 3, 4, 5],
                     choices=[q for q in SUPPORTED_ORDERS
-                             if 2 * (q * q + q + 1) <= 512])
+                             if polygon_vertex_count(q, 2) <= 512])
     args = ap.parse_args()
     if args.samples < 0:
         ap.error("--samples must be at least 0")

@@ -44,9 +44,9 @@ search exact:
     child there matters only as a witness, and one with fewer edges than the
     running best never is one: it is dropped unlabeled, though it still
     counts as a search node. A child at or above the best is kept as its
-    parent and neighbour set, and the ties left when the search ends,
-    completed or not, are built and labeled once, one witness per class. An
-    orbit of (e) has one parent and one set size, so one edge count: the
+    parent and neighbour set, and only the ties left when the search ends,
+    completed or not, are built, and labeled once when the result is made.
+    An orbit of (e) has one parent and one set size, so one edge count: the
     sets of a dropped child's orbit are dropped too, and only a kept child
     needs its orbit.
 
@@ -102,13 +102,13 @@ drops only walks that run out of columns. A row of the previous row's size
 loses the old columns below that row's first, which drops only lex-smaller
 rows, and is skipped while lex-smaller. Search nodes count the calls to
 search and the rows tried, as the Turán search counts its neighbour sets.
-The search keeps the raw row configurations tied at the running best and
-labels them only once it ends (completed or budget-truncated), since almost
-all ties are overtaken by a larger configuration. Then it labels one
-configuration per column class, the sorted tuple of column masks (bit i of
-column c's mask set when row i contains c): two configurations with equal
-keys differ by a permutation of the columns with the rows fixed, so their
-graphs are isomorphic and give the same canonical witness.
+The search keeps the raw row configurations tied at the running best, since
+almost all ties are overtaken by a larger configuration, and hands over one
+graph per column class when it ends (completed or budget-truncated): the
+sorted tuple of column masks (bit i of column c's mask set when row i
+contains c). Two configurations with equal keys differ by a permutation of
+the columns with the rows fixed, so their graphs are isomorphic and give the
+same canonical witness.
 
 A Zarankiewicz search starts at a floor, a lower bound known before it
 starts, and still finds the value and every tied configuration: best starts
@@ -128,16 +128,18 @@ at its value), padded by a pendant vertex, witnesses that floor. A floor
 with a witness is attained, so a search that completes without reaching it
 has lost a configuration and raises. After a final shape the floor is the
 best value so far, with no witness: a later split that finds nothing there
-is below the best, and its labeled ties replace the witnesses when they
-beat it and join them when they tie it. Only the ties of final shapes are
-labeled. The nodes and the budget cover every shape. A search its budget
+is below the best, and its ties replace the witnesses when they beat it
+and join them when they tie it. Only the ties of final shapes become
+witnesses. The nodes and the budget cover every shape. A search its budget
 stops reports the running final shape's ties, joined as above; without
 them, the first tie it knows on the staircase padded to the first final
 shape; without that, the earlier final shapes, and before any, the empty
 graph. An empty part or a family without even lengths gets no staircase.
 
-Every certificate records whether the search completed; truncated runs are
-lower bounds only and are never reported as exact.
+Both searches hand their witnesses over as plain graphs, and the result
+labels each graph once and keeps one per isomorphism class. Every
+certificate records whether the search completed; truncated runs are lower
+bounds only and are never reported as exact.
 """
 
 from __future__ import annotations
@@ -331,9 +333,8 @@ class _TuranSearch:
     of the module docstring). ``levels[k]`` maps canonical encodings to
     (graph, automorphisms the canonical search stored) and holds every class
     on k vertices with at least ``floors[k]`` edges, for k < n. The last
-    level keeps no classes: ``tied`` holds its children at the running best
-    unlabeled, as (parent, neighbours), next to the lower-level graphs that
-    tie it, as (graph, None)."""
+    level keeps no classes. ``tied`` holds the children at the running best,
+    of any level, unlabeled, as (parent, neighbours)."""
 
     def __init__(self, n, family, limit, order_seed):
         self.n = n
@@ -404,49 +405,41 @@ class _TuranSearch:
         key, _, automorphisms = canonical_labeling(child)
         if key not in level:
             level[key] = child, automorphisms
-            self.record(child.m + self.n - child.n, child)
+            self.record(child.m + self.n - child.n, P, neighbours)
 
-    def record(self, value: int, G: Graph, neighbours=None):
-        """Keep the graphs whose padding to n vertices has the most edges,
-        value: each bounds ex(n) below whenever the search stops. neighbours,
-        when given, makes G the parent of a last-level child."""
+    def record(self, value: int, P: Graph, neighbours: int):
+        """Keep the children of P whose padding to n vertices has the most
+        edges, value: each bounds ex(n) below whenever the search stops."""
         if value > self.best:
             self.best = value
             self.tied = []
         if value == self.best:
-            self.tied.append((G, neighbours))
+            self.tied.append((P, neighbours))
 
-    def labeled_witnesses(self) -> list:
-        """One (graph, canonical labeling) per isomorphism class among the
-        tied graphs, built and padded to n vertices: the only labelings of
-        last-level children."""
-        classes = {}
-        for G, neighbours in self.tied:
-            if neighbours is not None:
-                G = _child(G, neighbours)
-            if G.n < self.n:
-                G = _padded(G, self.n)
-            key, perm, _ = canonical_labeling(G)
-            classes.setdefault(key, (G, perm))
-        return list(classes.values())
+    def witnesses(self) -> list:
+        """The tied children, built and padded to n vertices."""
+        return [_padded(_child(P, neighbours), self.n)
+                for P, neighbours in self.tied]
 
 
-def _result(kind, instance, family, value, labeled, nodes, completed):
+def _result(kind, instance, family, value, graphs, nodes, completed):
     """The result a search reached: exact when it completed, a lower bound
-    when its budget stopped it. Before the search records anything
-    (value < 0), the empty graph certifies the value 0. Graphs labeled
-    apart, as in two part splits of z(n), may have one encoding; it is kept
-    once."""
+    when its budget stopped it. Each witness graph is labeled once, and the
+    first graph of each isomorphism class is encoded. Before the search
+    records anything (value < 0), the empty graph certifies the value 0."""
     if value < 0:
-        empty = Graph(sum(instance))
-        value, labeled = 0, [(empty, canonical_labeling(empty)[1])]
+        value, graphs = 0, [Graph(sum(instance))]
+    classes = {}
+    for G in graphs:
+        key, perm, _ = canonical_labeling(G)
+        classes.setdefault(key, (G, perm))
     return SearchResult(
         kind=kind,
         instance=instance,
         family=family,
         value=value,
-        witnesses=tuple(sorted({graph6_encode(relabel(G, perm))
-                                for G, perm in labeled})),
+        witnesses=tuple(sorted(graph6_encode(relabel(G, perm))
+                               for G, perm in classes.values())),
         nodes=nodes,
         completed=completed,
     )
@@ -467,11 +460,11 @@ def turan_number(n: int, family: FamilySpec, budget=None,
         search.run()
     except BudgetExceeded as exc:
         exc.result = _result("turan", (n,), family, search.best,
-                             search.labeled_witnesses(), search.nodes,
+                             search.witnesses(), search.nodes,
                              completed=False)
         raise
-    return _result("turan", (n,), family, search.best,
-                   search.labeled_witnesses(), search.nodes, completed=True)
+    return _result("turan", (n,), family, search.best, search.witnesses(),
+                   search.nodes, completed=True)
 
 
 def _column_key(rows, cols_n: int) -> tuple:
@@ -596,20 +589,13 @@ class _ZarankiewiczSearch:
             self.tied = {}
         self.tied[tuple(self.rows)] = None
 
-    def labeled_witnesses(self) -> list:
-        """One (graph, canonical labeling) per isomorphism class among the
-        configurations tied at the best value, labeling one configuration
-        per column class."""
-        classes, seen = {}, set()
+    def witnesses(self) -> list:
+        """The graph of the first configuration tied at the best value in
+        each column class, in the order found."""
+        classes = {}
         for rows in self.tied:
-            column_key = _column_key(rows, self.cols_n)
-            if column_key in seen:
-                continue
-            seen.add(column_key)
-            G = self.make_graph(rows)
-            key, perm, _ = canonical_labeling(G)
-            classes.setdefault(key, (G, perm))
-        return list(classes.values())
+            classes.setdefault(_column_key(rows, self.cols_n), rows)
+        return [self.make_graph(rows) for rows in classes.values()]
 
     def column_conflicts(self) -> list:
         """conf[c]: the columns that may not share the next row with column
@@ -694,7 +680,7 @@ def _zarankiewicz(kind, instance, family, budget, order_seed, finals):
     r, c = sorted(finals[0])
     # an empty part or a family without even lengths needs no staircase
     steps = _staircase(r, c)[:-1] if r and family.even_lengths else []
-    value, labeled = -1, []  # the best final shape so far and its ties
+    value, graphs = -1, []  # the best final shape so far and its ties
     floor, witness = -1, None  # witness: (rows, columns) of the floor's tie
     spent, stopped = 0, None
     for index, shape in enumerate(steps + finals):
@@ -716,8 +702,8 @@ def _zarankiewicz(kind, instance, family, budget, order_seed, finals):
         elif final:
             # ties beating the best so far replace its witnesses; ties
             # tying it join them
-            ties = search.labeled_witnesses()
-            labeled = ties if search.best > value else labeled + ties
+            ties = search.witnesses()
+            graphs = ties if search.best > value else graphs + ties
             value, witness = search.best, None
         else:
             witness = next(iter(search.tied)), search.cols_n
@@ -725,15 +711,15 @@ def _zarankiewicz(kind, instance, family, budget, order_seed, finals):
             if witness:
                 # the best configuration known, padded to (r, c), bounds z
                 G = _rows_graph(_pad_rows(*witness, r, c), r, c)
-                value, labeled = G.m, [(G, canonical_labeling(G)[1])]
+                value, graphs = G.m, [G]
             raise BudgetExceeded(
                 f"row search z({', '.join(map(str, instance))}; "
                 f"{family.describe()}) exceeded its budget of {limit} search "
                 f"nodes",
-                _result(kind, instance, family, value, labeled, spent,
+                _result(kind, instance, family, value, graphs, spent,
                         completed=False)) from stopped
         floor = value if final else search.best + 1
-    return _result(kind, instance, family, value, labeled, spent,
+    return _result(kind, instance, family, value, graphs, spent,
                    completed=True)
 
 

@@ -79,19 +79,17 @@ def extract_bipartite(G: Graph, ell: int, delta=None, budget=None) -> Extraction
     g0, removed = truncate_degrees(G, delta)
     root, count = best_root(g0, ell, budget=budget)
     layers = neighborhood_layers(g0, root, ell + 1)
-    lower, upper = set(layers[ell]), set(layers[ell + 1])
+    masks = [g0.mask(layer) for layer in layers]
+    lower, upper = layers[ell], layers[ell + 1]
     # vertex order: layer ell ascending, then layer ell+1 ascending
-    vertices = tuple(sorted(lower)) + tuple(sorted(upper))
+    vertices = lower + upper
     pos = {v: i for i, v in enumerate(vertices)}
-    cross = [
-        (pos[u], pos[v])
-        for u, v in g0.edges()
-        if (u in lower and v in upper) or (v in lower and u in upper)
-    ]
-    side = tuple(0 if i < len(lower) else 1 for i in range(len(vertices)))
+    cross = [(pos[u], pos[v]) for u in lower for v in g0.adj[u]
+             if masks[ell + 1] >> v & 1]
+    side = (0,) * len(lower) + (1,) * len(upper)
     subgraph = BipartiteGraph(len(vertices), cross, side)
     unique_parent = all(
-        sum(1 for w in g0.adj[v] if w in set(layers[i - 1])) == 1
+        (g0.bits[v] & masks[i - 1]).bit_count() == 1
         for i in range(1, ell + 1)
         for v in layers[i]
     )
@@ -139,20 +137,14 @@ def check_degree_outlier_bound(G: Graph, B, eps: float) -> BoundReport:
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """Edges at vertices of outlying degree.
-
-    The sqrt-threshold count carries a verdict (must hold on C4-free
-    graphs); the average-degree fraction is reported without a verdict.
-    """
+    """Edges at vertices of degree at least (1+eps)*sqrt(n), with a verdict
+    that must hold on C4-free graphs."""
 
     eps: float
     sqrt_threshold: float
     edges_at_sqrt_outliers: int
     sqrt_bound: float
     holds_sqrt: bool
-    mean_threshold: float
-    edges_at_mean_outliers: int
-    fraction_at_mean_outliers: float
 
 
 def high_degree_edge_fraction(G: Graph, eps: float) -> OutlierReport:
@@ -162,17 +154,10 @@ def high_degree_edge_fraction(G: Graph, eps: float) -> OutlierReport:
     t_sqrt = (1 + eps) * math.sqrt(n)
     high_sqrt = {v for v in range(n) if G.degree(v) >= t_sqrt}
     at_sqrt = sum(1 for u, v in G.edges() if u in high_sqrt or v in high_sqrt)
-    d_mean = float(G.average_degree()) if n else 0.0
-    t_mean = (1 + eps) * d_mean
-    high_mean = {v for v in range(n) if G.degree(v) >= t_mean}
-    at_mean = sum(1 for u, v in G.edges() if u in high_mean or v in high_mean)
     return OutlierReport(
         eps=eps,
         sqrt_threshold=t_sqrt,
         edges_at_sqrt_outliers=at_sqrt,
         sqrt_bound=2 * n / eps,
         holds_sqrt=at_sqrt <= 2 * n / eps + FLOAT_SLACK,
-        mean_threshold=t_mean,
-        edges_at_mean_outliers=at_mean,
-        fraction_at_mean_outliers=(at_mean / G.m) if G.m else 0.0,
     )

@@ -138,10 +138,26 @@ def test_pseudorandomness_trend_usage_errors(args, message):
 
 
 def test_extraction_demo():
-    """Polarity graphs have diameter 2, so layer ell + 1 = 3 is empty and
-    the demo says so instead of checking an empty subgraph."""
+    """The augmented W(3, 3) incidence graph has diameter 4, so layer
+    ell + 1 = 3 is nonempty, and the edges between layers 2 and 3 form a
+    C4-free subgraph."""
     out = run_script("extraction_demo.py", "--q", "3")
-    assert "polarity graph q=3: n=13 m=24" in out
-    assert "extracted bipartite subgraph: 8 vertices, 0 edges" in out
-    assert "layer 3 is empty: nothing extracted" in out
+    assert "augmented W(3,q) incidence graph q=3: n=80 m=161" in out
+    assert "layer sizes (1, 5, 14, 42)\n" in out
+    assert "extracted bipartite subgraph: 56 vertices, 42 edges" in out
+    assert "subgraph inherits forbidden-cycle freeness: True" in out
+    assert "nothing extracted" not in out
+
+
+def test_extraction_demo_at_ell_three_and_four():
+    """At ell = 3 the edges between layers 3 and 4 form a subgraph free of
+    C4 and C6. At ell = 4 the truncation leaves layer 5 empty, and the demo
+    says so instead of checking an empty subgraph."""
+    out = run_script("extraction_demo.py", "--q", "3", "--ell", "3")
+    assert "layer sizes (1, 5, 14, 42, 18)\n" in out
+    assert "extracted bipartite subgraph: 60 vertices, 72 edges" in out
+    assert "subgraph inherits forbidden-cycle freeness: True" in out
+    out = run_script("extraction_demo.py", "--q", "3", "--ell", "4")
+    assert "layer sizes (1, 4, 12, 36, 25, 0)\n" in out
+    assert "layer 5 is empty: nothing extracted" in out
     assert "forbidden-cycle freeness" not in out

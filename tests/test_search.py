@@ -522,7 +522,8 @@ def _edge_augmentation_ex(n, lengths):
 
 class _EagerZarankiewicz(search._ZarankiewiczSearch):
     """Reference: every configuration tying the running best is canonically
-    labeled when it is found."""
+    labeled when it is found, and the first graph of each isomorphism class
+    is a witness."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -537,10 +538,9 @@ class _EagerZarankiewicz(search._ZarankiewiczSearch):
             self.classes = {}
         super().record(total)
         G = self.make_graph(self.rows)
-        key, perm, _ = canonical_labeling(G)
-        self.classes.setdefault(key, (G, perm))
+        self.classes.setdefault(canonical_labeling(G)[0], G)
 
-    def labeled_witnesses(self):
+    def witnesses(self):
         return list(self.classes.values())
 
 
@@ -742,10 +742,12 @@ def test_deferred_witnesses_match_eager_reference(monkeypatch, lengths):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("budget", [10, 60, 300, 2000])
+@pytest.mark.parametrize("budget", [10, 60, 300, 500, 2000])
 def test_truncated_searches_match_references(monkeypatch, budget):
     """On the budget-truncated path too, deferred labeling leaves the
-    partial value, witnesses and node count unchanged."""
+    partial value, witnesses and node count unchanged. Budgets 10 to 300
+    stop z(5, 6) on its staircase; 500 stops it in (5, 6) itself, whose
+    ties then fall into four classes."""
     _against_reference(
         monkeypatch, "_ZarankiewiczSearch", _EagerZarankiewicz,
         lambda: zarankiewicz_ab(5, 6, C4, budget=budget))
@@ -973,15 +975,17 @@ def test_rows_match_column_walk_reference(monkeypatch, lengths, order_seed):
         assert fast[:3] == walked[:3], (a, b)
 
 
-def _reference_result(kind, instance, family, value, labeled, nodes,
+def _reference_result(kind, instance, family, value, graphs, nodes,
                       completed):
+    """The result with the canonical encodings of graphs, each kept once."""
     return SearchResult(
         kind=kind,
         instance=instance,
         family=family,
         value=value,
-        witnesses=tuple(sorted(graph6_encode(relabel(G, perm))
-                               for G, perm in labeled)),
+        witnesses=tuple(sorted({
+            graph6_encode(relabel(G, canonical_labeling(G)[1]))
+            for G in graphs})),
         nodes=nodes,
         completed=completed,
     )
@@ -989,9 +993,8 @@ def _reference_result(kind, instance, family, value, labeled, nodes,
 
 def _reference_reached(run, n_vertices):
     if run.best < 0:
-        empty = Graph(n_vertices)
-        return 0, [(empty, canonical_labeling(empty)[1])]
-    return run.best, run.labeled_witnesses()
+        return 0, [Graph(n_vertices)]
+    return run.best, run.witnesses()
 
 
 def _reference_z(a, b, family, limit, order_seed, floor=-1):
@@ -1025,7 +1028,7 @@ def _reference_z(a, b, family, limit, order_seed, floor=-1):
             witness = next(iter(run.tied)), run.cols_n
         if witness and not (final and run.tied):
             G = search._rows_graph(search._pad_rows(*witness, r, c), r, c)
-            reached = G.m, [(G, canonical_labeling(G)[1])]
+            reached = G.m, [G]
         else:
             reached = _reference_reached(run, a + b)
         raise BudgetExceeded(
@@ -1398,6 +1401,35 @@ def test_one_labeling_per_column_class(monkeypatch):
     res = zarankiewicz_ab(3, 9, C4, order_seed=42)
     assert res.completed and res.value == 12
     assert len(labeled) == len(set(keys)) < len(keys)
+
+
+@pytest.mark.parametrize("lengths", [(4,), (4, 6)])
+def test_witnesses_take_the_first_tie_of_each_column_class(lengths):
+    """The row search hands over, in the order found, the graph of the first
+    tied configuration of every column class, and no other graph."""
+    family = FamilySpec.of(*lengths)
+    for a, b in SMALL_AB:
+        run = search._ZarankiewiczSearch(a, b, family, 10**9, None)
+        run.search(0, 0)
+        keys = [search._column_key(rows, run.cols_n) for rows in run.tied]
+        firsts = [rows for i, rows in enumerate(run.tied)
+                  if keys[i] not in keys[:i]]
+        assert run.witnesses() == [run.make_graph(rows) for rows in firsts]
+
+
+@pytest.mark.parametrize("lengths,top", [((4,), 16), ((4, 6), 16),
+                                         ((4, 6, 8), 14)])
+def test_turan_with_every_odd_cycle_matches_row_search(lengths, top):
+    """A graph on n vertices with no odd cycle of length at most n is
+    bipartite, so ex(n; F + every odd length 3..n) = z(n; F), with the same
+    extremal classes. The Turán search shares none of the row search's cuts
+    and symmetry rules, only canonical labeling."""
+    for n in range(top + 1):
+        turan = turan_number(
+            n, FamilySpec.of(*lengths, *range(3, n + 1, 2)))
+        rows = zarankiewicz_number(n, FamilySpec.of(*lengths))
+        assert (turan.value, turan.witnesses, turan.completed) == (
+            rows.value, rows.witnesses, rows.completed), n
 
 
 @pytest.mark.parametrize("n,lengths", [(8, (4, 5)), (7, (3,)), (9, (4, 7))])
