@@ -100,13 +100,19 @@ def gq_w3(q: int) -> IncidenceStructure:
     Points are all points of PG(3,q); lines are the lines of PG(3,q) that
     are totally isotropic under the fixed alternating form. Each of the
     q^3+q^2+q+1 points lies on q+1 of the q^3+q^2+q+1 lines.
+
+    Each line is built once, from its first isotropic pair: a pair already
+    on a found line spans that line, so it is skipped.
     """
     F = ff_make(q)
     pts = _projective_points(F, 4)
     index = {p: i for i, p in enumerate(pts)}
-    line_sets = set()
+    lines = []
+    collinear = [0] * len(pts)  # per point, a mask of the found lines' points
     for i, x in enumerate(pts):
         for j in range(i + 1, len(pts)):
+            if collinear[i] >> j & 1:
+                continue
             y = pts[j]
             if _symplectic(F, x, y) != 0:
                 continue
@@ -116,8 +122,12 @@ def gq_w3(q: int) -> IncidenceStructure:
                     ff_add(F, xc, ff_mul(F, lam, yc)) for xc, yc in zip(x, y)
                 )
                 members.add(index[_normalize(F, combo)])
-            line_sets.add(tuple(sorted(members)))
-    ordered = sorted(line_sets)
+            line = tuple(sorted(members))
+            lines.append(line)
+            mask = sum(1 << p for p in line)
+            for p in line:
+                collinear[p] |= mask
+    ordered = sorted(lines)
     # alternating + bilinear: every point pair on each line must pair to zero
     for line in ordered:
         for ai in line:

@@ -498,14 +498,32 @@ def peel_min_degree(G: Graph, threshold) -> PeelResult:
 def e_between(G: Graph, S, T) -> int:
     """Number of ordered pairs (s, t), s in S, t in T, st an edge.
 
-    S and T may overlap; e_between(G, V, V) equals 2*m.
+    S and T may overlap and repeat vertices; e_between(G, V, V) equals 2*m.
     """
-    t_mask = G.mask(T)
-    G.mask(S)  # only to reject a non-vertex
+    return e_between_masks(G.bits, G.mask(S), G.mask(T))
+
+
+def e_between_masks(rows, s_mask: int, t_mask: int) -> int:
+    """The sum over s in s_mask of popcount(rows[s] & t_mask).
+
+    With rows = G.bits this is e(S, T) for vertex masks S and T; with
+    rows = pool_rows(G, xs, ys) it is e(S, T) for S and T given as masks
+    over positions in the pools xs and ys.
+    """
     total = 0
-    for s in set(S):
-        total += (G.bits[s] & t_mask).bit_count()
+    while s_mask:
+        low = s_mask & -s_mask
+        total += (rows[low.bit_length() - 1] & t_mask).bit_count()
+        s_mask ^= low
     return total
+
+
+def pool_rows(G: Graph, xs, ys) -> tuple:
+    """Row i is the neighbourhood of vertex xs[i] as a mask over positions
+    in ys (ys holds distinct vertices); pool_rows(G, range(n), range(n))
+    is G.bits."""
+    at = {v: j for j, v in enumerate(ys)}
+    return tuple(sum(1 << at[u] for u in G.adj[x] if u in at) for x in xs)
 
 
 def _greedy_clique(G: Graph) -> list:

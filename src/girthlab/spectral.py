@@ -18,6 +18,7 @@ the last bits of the eigenvalues.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -31,7 +32,13 @@ from .errors import (
     NotRegular,
     PartViolation,
 )
-from .graph import BipartiteGraph, Graph, e_between, is_bipartite
+from .graph import (
+    BipartiteGraph,
+    Graph,
+    e_between_masks,
+    is_bipartite,
+    pool_rows,
+)
 from .rng import XorShift64Star
 
 BOUND_SLACK = 1e-6
@@ -197,66 +204,76 @@ class MixingReport:
     set_sizes: tuple
 
 
+@dataclass(frozen=True)
+class MixingBound:
+    """One graph's mixing inequality, |e(S,T) - rate*|S||T|| <=
+    bound(|S|, |T|), with rate = degree/n and the bound's spectral factors
+    fixed once per graph.
+
+    S and T are bitmasks over the rows of a neighbour-mask table:
+    ``G.bits`` for vertex sets, or ``pool_rows(G, xs, ys)`` for masks that
+    ``sample_mask`` draws over the pools xs and ys. The expected count is
+    ``rate * |S| * |T|``, which rounds as ``degree / n * |S| * |T|`` does.
+    """
+
+    rate: float
+    bound: Callable
+
+    def measure(self, rows, s_mask: int, t_mask: int) -> tuple:
+        """The fields of the MixingReport of S and T, in order."""
+        s, t = s_mask.bit_count(), t_mask.bit_count()
+        est = e_between_masks(rows, s_mask, t_mask)
+        expected = self.rate * s * t
+        deviation = abs(est - expected)
+        bound = self.bound(s, t)
+        return (est, expected, deviation, bound,
+                deviation <= bound + BOUND_SLACK, (s, t))
+
+    def holds(self, rows, s_mask: int, t_mask: int) -> bool:
+        return self.measure(rows, s_mask, t_mask)[4]
+
+    def report(self, rows, s_mask: int, t_mask: int) -> MixingReport:
+        return MixingReport(*self.measure(rows, s_mask, t_mask))
+
+
 def _is_regular(G: Graph):
     degs = set(G.degrees())
     return degs.pop() if len(degs) == 1 else None
 
 
-def _mixing_report(G: Graph, S: set, T: set, degree, bound: float) -> MixingReport:
-    """|e(S,T) - (degree/n)|S||T|| against ``bound``."""
-    est = e_between(G, S, T)
-    expected = degree / G.n * len(S) * len(T)
-    deviation = abs(est - expected)
-    return MixingReport(
-        e_st=est,
-        expected=expected,
-        deviation=deviation,
-        bound=bound,
-        holds=deviation <= bound + BOUND_SLACK,
-        set_sizes=(len(S), len(T)),
-    )
-
-
-def check_mixing_regular(G: Graph, S, T, summary: SpectralSummary = None) -> MixingReport:
+def regular_mixing(G: Graph, summary: SpectralSummary = None) -> MixingBound:
     """Regular-graph mixing: |e(S,T) - (d/n)|S||T|| <= lam*sqrt(|S||T|)."""
     d = _is_regular(G)
     if d is None:
         raise NotRegular("mixing bound needs a regular graph")
     if summary is None:
         summary = spectral_summary(G, bipartite=False)
-    S, T = set(S), set(T)
-    return _mixing_report(G, S, T, d, summary.lam * math.sqrt(len(S) * len(T)))
+    lam = summary.lam
+    return MixingBound(d / G.n, lambda s, t: lam * math.sqrt(s * t))
 
 
-def check_mixing_bipartite(
-    G: BipartiteGraph, S, T, summary: SpectralSummary = None
-) -> MixingReport:
-    """Regular bipartite mixing: for S in X and T in Y,
-    |e(S,T) - (2d/n)|S||T|| <= lam*(|S|+|T|)/2."""
+def _regular_bipartite_degree(G: BipartiteGraph) -> int:
     if not isinstance(G, BipartiteGraph):
         raise NotBipartite("check_mixing_bipartite needs a BipartiteGraph")
     d = _is_regular(G)
     if d is None:
         raise NotRegular("mixing bound needs a regular bipartite graph")
-    S, T = set(S), set(T)
-    x_set, y_set = set(G.part_x), set(G.part_y)
-    if not S <= x_set:
-        raise PartViolation("S must lie inside part X")
-    if not T <= y_set:
-        raise PartViolation("T must lie inside part Y")
+    return d
+
+
+def bipartite_mixing(G: BipartiteGraph,
+                     summary: SpectralSummary = None) -> MixingBound:
+    """Regular bipartite mixing: for S in X and T in Y,
+    |e(S,T) - (2d/n)|S||T|| <= lam*(|S|+|T|)/2."""
+    d = _regular_bipartite_degree(G)
     if summary is None:
         summary = spectral_summary(G, bipartite=True)
-    return _mixing_report(G, S, T, 2 * d, summary.lam * (len(S) + len(T)) / 2)
+    lam = summary.lam
+    return MixingBound(2 * d / G.n, lambda s, t: lam * (s + t) / 2)
 
 
-def check_mixing_near_regular(
-    G: BipartiteGraph,
-    S,
-    T,
-    beta: float,
-    gamma: float,
-    summary: SpectralSummary = None,
-) -> MixingReport:
+def near_regular_mixing(G: BipartiteGraph, beta: float, gamma: float,
+                        summary: SpectralSummary = None) -> MixingBound:
     """Near-regular bipartite mixing.
 
     Hypotheses, checked before the bound and reported honestly on failure:
@@ -282,12 +299,45 @@ def check_mixing_near_regular(
         failed.append("alpha = 4*sqrt(beta)/gamma >= 1/4")
     if failed:
         raise HypothesisFailed("; ".join(failed), failed=failed)
+    bound = (4.0 * alpha * d + summary.lam / 2.0) * G.n
+    return MixingBound(2 * d / G.n, lambda s, t: bound)
+
+
+def check_mixing_regular(G: Graph, S, T, summary: SpectralSummary = None) -> MixingReport:
+    """Regular-graph mixing (see ``regular_mixing``) for the sets S, T."""
+    mixing = regular_mixing(G, summary)
+    return mixing.report(G.bits, G.mask(S), G.mask(T))
+
+
+def check_mixing_bipartite(
+    G: BipartiteGraph, S, T, summary: SpectralSummary = None
+) -> MixingReport:
+    """Regular bipartite mixing (see ``bipartite_mixing``) for S in X and
+    T in Y. The parts are checked before the spectrum is solved."""
+    _regular_bipartite_degree(G)
     S, T = set(S), set(T)
-    x_set, y_set = set(G.part_x), set(G.part_y)
-    if not S <= x_set or not T <= y_set:
+    if not S <= set(G.part_x):
+        raise PartViolation("S must lie inside part X")
+    if not T <= set(G.part_y):
+        raise PartViolation("T must lie inside part Y")
+    return bipartite_mixing(G, summary).report(G.bits, G.mask(S), G.mask(T))
+
+
+def check_mixing_near_regular(
+    G: BipartiteGraph,
+    S,
+    T,
+    beta: float,
+    gamma: float,
+    summary: SpectralSummary = None,
+) -> MixingReport:
+    """Near-regular bipartite mixing (see ``near_regular_mixing``) for S
+    in X and T in Y."""
+    mixing = near_regular_mixing(G, beta, gamma, summary)
+    S, T = set(S), set(T)
+    if not S <= set(G.part_x) or not T <= set(G.part_y):
         raise PartViolation("S must lie in X and T in Y")
-    return _mixing_report(G, S, T, 2 * d,
-                          (4.0 * alpha * d + summary.lam / 2.0) * G.n)
+    return mixing.report(G.bits, G.mask(S), G.mask(T))
 
 
 @dataclass(frozen=True)
@@ -323,14 +373,16 @@ def pseudorandomness_report(
         raise ValueError("ell must be >= 1")
     rng = XorShift64Star(seed)
     d = float(G.average_degree())
+    rate = 2 * d / G.n
     scale = G.n ** (1.0 + 1.0 / ell)
     devs = []
     xs, ys = G.part_x, G.part_y
+    rows = pool_rows(G, xs, ys)
     for _ in range(samples):
-        S = rng.sample(xs)
-        T = rng.sample(ys)
-        est = e_between(G, S, T)
-        devs.append(abs(est - 2 * d / G.n * len(S) * len(T)))
+        s_mask = rng.sample_mask(len(xs))
+        t_mask = rng.sample_mask(len(ys))
+        est = e_between_masks(rows, s_mask, t_mask)
+        devs.append(abs(est - rate * s_mask.bit_count() * t_mask.bit_count()))
     if not devs:
         return DeviationReport(0, seed, ell, G.n, 0.0, 0.0, 0.0, 0.0)
     mx = max(devs)

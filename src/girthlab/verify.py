@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 
 from . import __version__
@@ -42,6 +41,7 @@ from .graph import (
     dense_layer_radius,
     girth,
     odd_cycle_run,
+    pool_rows,
 )
 from .rng import XorShift64Star
 from .search import (
@@ -57,14 +57,14 @@ from .search import (
 )
 from .spectral import (
     adjacency_matrix,
-    check_mixing_bipartite,
-    check_mixing_near_regular,
-    check_mixing_regular,
+    bipartite_mixing,
     eigenvalues_symmetric,
+    near_regular_mixing,
     pseudorandomness_report,
+    regular_mixing,
     spectral_summary,
 )
-from .stability import check_degree_outlier_bound, high_degree_edge_fraction
+from .stability import degree_levels, high_degree_edge_fraction, outlier_bound
 from .walks import (
     FLOAT_SLACK,
     check_blakley_roy,
@@ -183,13 +183,24 @@ def _tally(name, ref, instance, verdicts, op=None) -> CheckRecord:
                 f"checked={checked}", violations == 0, op=op)
 
 
-def _mixing_verdicts(rng: XorShift64Star, xs, ys, pairs: int, check):
-    """Verdicts of check(S, T) over `pairs` draws of S from xs, then T from
-    ys."""
+def _mixing_verdicts(rng: XorShift64Star, g, xs, ys, pairs: int, mixing):
+    """Verdicts of the MixingBound mixing of g over `pairs` draws of S from
+    the pool xs, then T from ys, each drawn as a mask over its pool."""
+    rows = pool_rows(g, xs, ys)
     for _ in range(pairs):
-        S = rng.sample(xs)
-        T = rng.sample(ys)
-        yield check(S, T).holds
+        s_mask = rng.sample_mask(len(xs))
+        t_mask = rng.sample_mask(len(ys))
+        yield mixing.holds(rows, s_mask, t_mask)
+
+
+def _outlier_verdicts(rng: XorShift64Star, graphs, eps: float, draws: int):
+    """Verdicts of the degree-outlier bound at eps over `draws` vertex sets
+    drawn from each graph in turn, as masks; an empty draw is skipped."""
+    for g, levels in graphs:
+        for _ in range(draws):
+            b_mask = rng.sample_mask(g.n)
+            if b_mask:
+                yield outlier_bound(levels, b_mask, eps)[0]
 
 
 # generalized-polygon incidence graphs: name prefix, field orders q,
@@ -266,15 +277,13 @@ def geometry_suite(seed: int, constructed: dict, budget=None) -> list:
                             chi, bound, chi < bound))
     # degree-outlier bound on quadrilateral-free graphs
     rng = XorShift64Star(seed + 71)
-    c4_free = list(constructed.values()) + c4_free_corpus(12, seed + 72)
+    c4_free = [(g, degree_levels(g)) for g in chain(
+        constructed.values(), c4_free_corpus(12, seed + 72))]
     for eps in (0.3, 0.5, 1.0):
-        samples = ((g, rng.sample(range(g.n)))
-                   for g in c4_free for _ in range(50))
         records.append(_tally("degree-outlier-endpoints",
                               "degree outlier bound",
                               f"constructed+corpus eps={eps}",
-                              (check_degree_outlier_bound(g, B, eps).holds
-                               for g, B in samples if B),
+                              _outlier_verdicts(rng, c4_free, eps, 50),
                               op="check_degree_outlier_bound"))
     frac = high_degree_edge_fraction(constructed["polarity-q5"], 0.5)
     records.append(_rec("high-degree-edge-fraction", "degree outlier bound",
@@ -386,18 +395,16 @@ def spectral_suite(seed: int, constructed: dict, budget=None) -> list:
         records.append(_tally(
             "mixing-regular", "expander mixing (regular)",
             f"{name} 1000 pairs",
-            _mixing_verdicts(rng, range(g.n), range(g.n), 1000,
-                             partial(check_mixing_regular, g,
-                                     summary=summaries[name].flat())),
+            _mixing_verdicts(rng, g, range(g.n), range(g.n), 1000,
+                             regular_mixing(g, summaries[name].flat())),
             op="check_mixing_regular"))
     for name in ("plane-incidence-q2", "quadrangle-incidence-q2"):
         g = constructed[name]
         records.append(_tally(
             "mixing-bipartite", "expander mixing (bipartite regular)",
             f"{name} 1000 pairs",
-            _mixing_verdicts(rng, g.part_x, g.part_y, 1000,
-                             partial(check_mixing_bipartite, g,
-                                     summary=summaries[name])),
+            _mixing_verdicts(rng, g, g.part_x, g.part_y, 1000,
+                             bipartite_mixing(g, summaries[name])),
             op="check_mixing_bipartite"))
     beta, gamma = 0.0005, 0.4
     records.append(_tally(
@@ -405,9 +412,9 @@ def spectral_suite(seed: int, constructed: dict, budget=None) -> list:
         f"near-biregular corpus beta={beta} gamma={gamma}",
         (v for g in near_biregular_corpus(3, seed + 33)
          for v in _mixing_verdicts(
-             rng, g.part_x, g.part_y, 100,
-             partial(check_mixing_near_regular, g, beta=beta, gamma=gamma,
-                     summary=spectral_summary(g, bipartite=True)))),
+             rng, g, g.part_x, g.part_y, 100,
+             near_regular_mixing(g, beta, gamma,
+                                 spectral_summary(g, bipartite=True)))),
         op="check_mixing_near_regular"))
     trend = []
     for q in (2, 3, 4, 5):

@@ -73,6 +73,47 @@ def test_quadrangle_counts(q, pts, lines, pairs):
         assert len(line) == q + 1
 
 
+def brute_quadrangle_lines(q):
+    """Independent oracle: every line of PG(3, q) as the normalized nonzero
+    combinations a*x + b*y of each pair of points x, y on it, kept when
+    x1*y2 - x2*y1 + x3*y4 - x4*y3 vanishes on every pair of its points."""
+    F = ff_make(q)
+
+    def normalize(vec):
+        inv = F.inv[next(c for c in vec if c)]
+        return tuple(ff_mul(F, inv, c) for c in vec)
+
+    def form(x, y):
+        total = 0
+        for i, j, sign in ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)):
+            term = ff_mul(F, x[i], y[j])
+            total = F.add[total][term if sign > 0 else F.neg[term]]
+        return total
+
+    pts = sorted({normalize(v) for v in itertools.product(range(q), repeat=4)
+                  if any(v)})
+    index = {p: i for i, p in enumerate(pts)}
+    lines = set()
+    for x, y in itertools.combinations(pts, 2):
+        span = {normalize(tuple(F.add[ff_mul(F, a, xc)][ff_mul(F, b, yc)]
+                                for xc, yc in zip(x, y)))
+                for a in range(q) for b in range(q) if (a, b) != (0, 0)}
+        lines.add(tuple(sorted(index[p] for p in span)))
+    return sorted(line for line in lines
+                  if all(form(pts[i], pts[j]) == 0
+                         for i, j in itertools.combinations(line, 2)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_quadrangle_lines_match_oracle(q):
+    """Each totally isotropic line, built once from its first pair, gives
+    the oracle's sorted line list; a line is named by its two first
+    points."""
+    struct = gq_w3(q)
+    assert list(struct.line_points) == brute_quadrangle_lines(q)
+    assert struct.lines == tuple(line[:2] for line in struct.line_points)
+
+
 def test_quadrangle_point_degrees():
     struct = gq_w3(2)
     per_point = [0] * struct.n_points

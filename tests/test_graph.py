@@ -22,12 +22,14 @@ from girthlab.graph import (
     dense_layer_radius,
     diameter,
     e_between,
+    e_between_masks,
     girth,
     induced_subgraph,
     is_bipartite,
     is_family_free,
     max_bipartite_local,
     neighborhood_layers,
+    pool_rows,
     odd_cycle_run,
     peel_min_degree,
     relabel,
@@ -414,6 +416,34 @@ class TestEBetween:
         S = [v for v in range(g.n) if v % 2 == 0]
         induced = sum(1 for u, v in g.edges() if u in S and v in S)
         assert e_between(g, S, S) == 2 * induced
+
+    @given(graphs(max_n=12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_overlapping_and_repeated_vertices(self, g, data):
+        """Vertex lists that overlap and repeat vertices count each ordered
+        adjacent pair of their sets once."""
+        vertices = st.lists(st.integers(0, g.n - 1), max_size=2 * g.n)
+        S, T = data.draw(vertices), data.draw(vertices)
+        pairs = sum(g.has_edge(s, t) for s in set(S) for t in set(T))
+        assert e_between(g, S, T) == pairs
+
+    @given(graphs(max_n=12), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pool_masks_count_as_vertex_sets(self, g, data):
+        """Masks over positions in two pools (any distinct vertices, in any
+        order) count as the vertex sets they pick from the pools."""
+        pool = st.lists(st.integers(0, g.n - 1), unique=True)
+        xs, ys = data.draw(pool), data.draw(pool)
+        s_mask = data.draw(st.integers(0, (1 << len(xs)) - 1))
+        t_mask = data.draw(st.integers(0, (1 << len(ys)) - 1))
+        S = [x for i, x in enumerate(xs) if s_mask >> i & 1]
+        T = [y for j, y in enumerate(ys) if t_mask >> j & 1]
+        assert (e_between_masks(pool_rows(g, xs, ys), s_mask, t_mask)
+                == e_between(g, S, T))
+
+    def test_identity_pools_are_the_neighbour_masks(self, tutte_coxeter):
+        g = tutte_coxeter
+        assert pool_rows(g, range(g.n), range(g.n)) == g.bits
 
 
 def test_diameter(heawood, tutte_coxeter):

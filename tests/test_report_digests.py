@@ -58,3 +58,17 @@ def test_failing_spectral_reports_match_benchmark_goldens(seed):
     assert not report.overall_pass
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
     assert digest == GOLDENS["suites"]["spectral"][str(seed)]
+
+
+# Every geometry report the benchmark can run (suite seeds 0..63), and three
+# more spectral ones: 1, the first suite seed of the held-out benchmark seed
+# (1729 % 64), and 0 and 63, the ends of the range.
+GOLDEN_SWEEP = ([("geometry", seed) for seed in range(64)]
+                + [("spectral", seed) for seed in (0, 1, 63)])
+
+
+@pytest.mark.parametrize("suite,seed", GOLDEN_SWEEP)
+def test_reports_match_benchmark_goldens(suite, seed):
+    report = run_verify(suite, seed).to_json()
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == GOLDENS["suites"][suite][str(seed)]

@@ -12,19 +12,25 @@ from girthlab.errors import (
     NotRegular,
     PartViolation,
 )
-from girthlab.graph import BipartiteGraph, Graph
+from girthlab.graph import BipartiteGraph, Graph, pool_rows
 from girthlab.rng import XorShift64Star
 from girthlab.spectral import (
+    BOUND_SLACK,
+    DeviationReport,
+    MixingReport,
     adjacency_matrix,
+    bipartite_mixing,
     check_mixing_bipartite,
     check_mixing_near_regular,
     check_mixing_regular,
     degree_variance,
     eigenvalues_symmetric,
+    near_regular_mixing,
     pseudorandomness_report,
+    regular_mixing,
     spectral_summary,
 )
-from girthlab.verify import _constructed_set
+from girthlab.verify import _constructed_set, _mixing_verdicts
 from girthlab.walks import closed_walk_count
 
 CONSTRUCTED = _constructed_set()
@@ -323,3 +329,152 @@ def test_flat_summary_equals_a_flat_solve(heawood):
     assert bipartite.flat() == spectral_summary(heawood, bipartite=False)
     assert abs(bipartite.lam - math.sqrt(2)) < 1e-8
     assert abs(bipartite.flat().lam - 3) < 1e-8
+
+
+def _set_path_report(G, S, T, degree, bound):
+    """Reference: the mixing report as it was computed from vertex sets,
+    before the count moved to masks."""
+    t_mask = G.mask(T)
+    est = sum((G.bits[s] & t_mask).bit_count() for s in S)
+    expected = degree / G.n * len(S) * len(T)
+    deviation = abs(est - expected)
+    return MixingReport(est, expected, deviation, bound,
+                        deviation <= bound + BOUND_SLACK, (len(S), len(T)))
+
+
+def _set_path_check(kind, G, summary, beta=None, gamma=None):
+    """Reference check(S, T) of each mixing bound on vertex sets, with the
+    degree and the bound of the set-path checks."""
+    lam = summary.lam
+
+    def check(S, T):
+        S, T = set(S), set(T)
+        if kind == "regular":
+            return _set_path_report(G, S, T, G.max_degree(),
+                                    lam * math.sqrt(len(S) * len(T)))
+        if kind == "bipartite":
+            return _set_path_report(G, S, T, 2 * G.max_degree(),
+                                    lam * (len(S) + len(T)) / 2)
+        d = float(summary.average_degree)
+        alpha = 4.0 * math.sqrt(beta) / gamma
+        return _set_path_report(G, S, T, 2 * d,
+                                (4.0 * alpha * d + lam / 2.0) * G.n)
+    return check
+
+
+def _suite_mixing_cases(seed):
+    """The spectral suite's mixing loops at one seed: (graph, pools, pairs,
+    MixingBound, reference check), in the suite's order."""
+    beta, gamma = 0.0005, 0.4
+    cases = []
+    names = ("plane-incidence-q2", "quadrangle-incidence-q2")
+    for name in names:
+        g = CONSTRUCTED[name]
+        flat = spectral_summary(g)
+        cases.append((g, range(g.n), range(g.n), 1000,
+                      regular_mixing(g, flat),
+                      _set_path_check("regular", g, flat)))
+    for name in names:
+        g = CONSTRUCTED[name]
+        summary = spectral_summary(g, bipartite=True)
+        cases.append((g, g.part_x, g.part_y, 1000,
+                      bipartite_mixing(g, summary),
+                      _set_path_check("bipartite", g, summary)))
+    for g in near_biregular_corpus(3, seed + 33):
+        summary = spectral_summary(g, bipartite=True)
+        cases.append((g, g.part_x, g.part_y, 100,
+                      near_regular_mixing(g, beta, gamma, summary),
+                      _set_path_check("near", g, summary, beta, gamma)))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [42, 7, 1729])
+def test_suite_mixing_on_masks_matches_set_path(seed):
+    """Each pair the spectral suite draws as pool masks gets, field for
+    field, the report the set path gives the sampled vertex lists, the
+    loop tallies those verdicts, and the generators end in one state."""
+    rng, twin = XorShift64Star(seed + 21), XorShift64Star(seed + 21)
+    drawn = XorShift64Star(seed + 21)
+    for g, xs, ys, pairs, mixing, check in _suite_mixing_cases(seed):
+        rows = pool_rows(g, xs, ys)
+        verdicts = list(_mixing_verdicts(rng, g, xs, ys, pairs, mixing))
+        reports = []
+        for _ in range(pairs):
+            s_mask = drawn.sample_mask(len(xs))
+            reports.append(mixing.report(rows, s_mask,
+                                         drawn.sample_mask(len(ys))))
+        expected = [check(twin.sample(xs), twin.sample(ys))
+                    for _ in range(pairs)]
+        assert reports == expected
+        assert verdicts == [rep.holds for rep in expected]
+        assert rng.state == twin.state == drawn.state
+
+
+def _set_path_pseudorandomness(G, samples, seed, ell=2):
+    """Reference: pseudorandomness_report's deviations from sampled vertex
+    lists."""
+    rng = XorShift64Star(seed)
+    d = float(G.average_degree())
+    devs = []
+    for _ in range(samples):
+        S = rng.sample(G.part_x)
+        T = rng.sample(G.part_y)
+        t_mask = G.mask(T)
+        est = sum((G.bits[s] & t_mask).bit_count() for s in S)
+        devs.append(abs(est - 2 * d / G.n * len(S) * len(T)))
+    if not devs:
+        return DeviationReport(0, seed, ell, G.n, 0.0, 0.0, 0.0, 0.0)
+    scale = G.n ** (1.0 + 1.0 / ell)
+    mx, mean = max(devs), sum(devs) / len(devs)
+    return DeviationReport(samples, seed, ell, G.n, mx, mean, mx / scale,
+                           mean / scale)
+
+
+@st.composite
+def interleaved_bipartite(draw, max_n=16):
+    """Bipartite graphs whose parts interleave in vertex order, so the
+    pools part_x and part_y are not ranges, each part nonempty."""
+    n = draw(st.integers(2, max_n))
+    side = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)
+                .filter(lambda s: 0 in s and 1 in s))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if side[u] != side[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return BipartiteGraph(n, [e for e, k in zip(pairs, keep) if k], side)
+
+
+@given(interleaved_bipartite(), st.integers(0, 30), st.integers(0, 2**64))
+@settings(max_examples=200, deadline=None)
+def test_pseudorandomness_on_masks_matches_set_path(g, samples, seed):
+    assert (pseudorandomness_report(g, samples, seed)
+            == _set_path_pseudorandomness(g, samples, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_public_mixing_checks_match_set_path(seed, heawood, tutte_coxeter):
+    """The public checks, on vertex lists that repeat vertices and come in
+    any order, give the set path's reports."""
+    rng = XorShift64Star(seed)
+
+    def draw(pool):
+        picked = [v for v in pool if rng.coin()]
+        return picked[::-1] + picked[: rng.below(len(picked) + 1)]
+
+    near = near_biregular_corpus(1, seed)[0]
+    near_summary = spectral_summary(near, bipartite=True)
+    for g in (heawood, tutte_coxeter):
+        flat, summary = spectral_summary(g), spectral_summary(g, True)
+        for _ in range(50):
+            S, T = draw(range(g.n)), draw(range(g.n))
+            assert (check_mixing_regular(g, S, T, summary=flat)
+                    == _set_path_check("regular", g, flat)(S, T))
+            S, T = draw(g.part_x), draw(g.part_y)
+            assert (check_mixing_bipartite(g, S, T, summary=summary)
+                    == _set_path_check("bipartite", g, summary)(S, T))
+    for _ in range(50):
+        S, T = draw(near.part_x), draw(near.part_y)
+        assert (check_mixing_near_regular(near, S, T, 0.0005, 0.4,
+                                          summary=near_summary)
+                == _set_path_check("near", near, near_summary, 0.0005,
+                                   0.4)(S, T))

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from girthlab.corpus import c4_free_corpus
 from girthlab.errors import BudgetExceeded, EpsilonOutOfRange
@@ -11,11 +12,12 @@ from girthlab.search import FamilySpec
 from girthlab.stability import (
     best_root,
     check_degree_outlier_bound,
+    degree_levels,
     extract_bipartite,
     high_degree_edge_fraction,
     truncate_degrees,
 )
-from girthlab.verify import _constructed_set
+from girthlab.verify import _constructed_set, _outlier_verdicts
 from girthlab.walks import FLOAT_SLACK, BoundReport
 
 
@@ -183,10 +185,49 @@ class TestDegreeOutliers:
                     assert (check_degree_outlier_bound(g, B, eps)
                             == _two_generator_outlier_bound(g, B, eps))
 
+    @given(case=st.integers(1, 20).flatmap(lambda n: st.tuples(
+               st.just(n),
+               st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                        .filter(lambda e: e[0] != e[1]), max_size=60),
+               st.lists(st.integers(0, n - 1), max_size=25))),
+           eps=st.sampled_from([0.3, 0.5, 1.0, 1.5])
+           | st.floats(0.01, 1.73, allow_nan=False))
+    @example(case=(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [1, 2, 3, 4]),
+             eps=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_degree_cutoff_matches_full_scan(self, case, eps):
+        """The scan that stops at the first degree below the threshold
+        reports what a scan of every vertex reports, on any graph with
+        n <= 20 and any vertex set. In the example |B| = 4 and eps = 1,
+        so the threshold is exactly 4, the star centre's degree: a cutoff
+        that also stops at a degree equal to the threshold loses it."""
+        n, edges, B = case
+        g = Graph(n, edges)
+        assert (check_degree_outlier_bound(g, B, eps)
+                == _two_generator_outlier_bound(g, B, eps))
+
+    @pytest.mark.parametrize("seed", [42, 7, 1729])
+    def test_suite_verdicts_match_per_sample_checks(self, seed):
+        """The geometry suite's mask loop gives, draw for draw, the
+        verdicts of checking each sampled vertex list with a full scan,
+        and leaves the generator where that loop leaves it."""
+        graphs = (list(_constructed_set().values())
+                  + c4_free_corpus(12, seed + 72))
+        levels = [(g, degree_levels(g)) for g in graphs]
+        rng, twin = XorShift64Star(seed + 71), XorShift64Star(seed + 71)
+        for eps in (0.3, 0.5, 1.0):
+            verdicts = list(_outlier_verdicts(rng, levels, eps, 50))
+            expected = [_two_generator_outlier_bound(g, B, eps).holds
+                        for g in graphs for _ in range(50)
+                        if (B := twin.sample(range(g.n)))]
+            assert verdicts == expected
+            assert rng.state == twin.state
+
 
 def _two_generator_outlier_bound(G, B, eps):
     """check_degree_outlier_bound with the count as a generator of
-    neighbour counts inside a filtering list comprehension."""
+    neighbour counts inside a filtering list comprehension, over every
+    vertex."""
     b_mask = G.mask(B)
     size = b_mask.bit_count()
     threshold = (1 + eps) * math.sqrt(size)
