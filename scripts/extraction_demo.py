@@ -10,14 +10,16 @@ diameter is 4, so layers ell and ell + 1 are both nonempty for ell = 2, 3.
 the layers are (1, 5, 14, 42) at ell = 2, with 42 edges extracted, and
 (1, 5, 14, 42, 18) at ell = 3, with 72.
 
-A path or cycle count that runs out of its node budget (--budget, else
-GIRTHLAB_BUDGET, else 100,000,000 path nodes) ends the script with a
-one-line message and exit status 4, as the girthlab command does.
+The path and cycle counts take their node budget from GIRTHLAB_BUDGET,
+else 100,000,000 path nodes. As with the girthlab command, a count that
+runs out of it ends the script with a one-line message and exit status 4,
+and a GIRTHLAB_BUDGET that is not a node count >= 0 with one line and
+exit status 2.
 
 Usage:
   python scripts/extraction_demo.py --q 5
   python scripts/extraction_demo.py --q 4 --ell 2 --delta 5
-  python scripts/extraction_demo.py --q 13 --ell 3 --budget 1000000
+  GIRTHLAB_BUDGET=1000000 python scripts/extraction_demo.py --q 13 --ell 3
 """
 
 import argparse
@@ -37,8 +39,6 @@ def main():
     ap.add_argument("--ell", type=int, default=2,
                     help="extract between BFS layers ell and ell + 1")
     ap.add_argument("--delta", type=int, default=None)
-    ap.add_argument("--budget", type=int, default=None,
-                    help="node budget of the path and cycle counts")
     args = ap.parse_args()
     if args.ell < 2:
         ap.error("--ell must be at least 2")
@@ -47,10 +47,12 @@ def main():
         ap.error("--ell must be at most 7")
     if args.delta is not None and args.delta < 0:
         ap.error("--delta must be at least 0")
-    if args.budget is not None and args.budget < 0:
-        ap.error("--budget must be at least 0")
     try:
         demo(args)
+    except ValueError as exc:
+        # a GIRTHLAB_BUDGET that is not a node count
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(4)
@@ -61,8 +63,7 @@ def demo(args):
     d = float(g.average_degree())
     print(f"augmented W(3,q) incidence graph q={args.q}: n={g.n} m={g.m} "
           f"avg degree {d:.3f}")
-    rep = extract_bipartite(g, args.ell, delta=args.delta,
-                            budget=args.budget)
+    rep = extract_bipartite(g, args.ell, delta=args.delta)
     print(f"truncation threshold {rep.delta}: removed "
           f"{rep.removed_by_truncation} edges")
     print(f"root {rep.root} starts {rep.path_count_from_root} paths of "
@@ -72,8 +73,7 @@ def demo(args):
           f"{rep.edges_extracted} edges (d^{args.ell + 1} = "
           f"{d ** (args.ell + 1):.1f})")
     if rep.edges_extracted:
-        free = is_family_free(rep.subgraph, FamilySpec.even_cycles(args.ell),
-                              budget=args.budget)
+        free = is_family_free(rep.subgraph, FamilySpec.even_cycles(args.ell))
         print(f"subgraph inherits forbidden-cycle freeness: {free}")
     else:
         # every vertex of layer ell + 1 has a neighbour in layer ell

@@ -265,7 +265,12 @@ def bipartite_mixing(G: BipartiteGraph,
                      summary: SpectralSummary = None) -> MixingBound:
     """Regular bipartite mixing: for S in X and T in Y,
     |e(S,T) - (2d/n)|S||T|| <= lam*(|S|+|T|)/2."""
-    d = _regular_bipartite_degree(G)
+    return _bipartite_mixing(G, _regular_bipartite_degree(G), summary)
+
+
+def _bipartite_mixing(G: BipartiteGraph, d: int,
+                      summary: SpectralSummary) -> MixingBound:
+    """``bipartite_mixing`` for G, which is regular of degree d."""
     if summary is None:
         summary = spectral_summary(G, bipartite=True)
     lam = summary.lam
@@ -314,13 +319,14 @@ def check_mixing_bipartite(
 ) -> MixingReport:
     """Regular bipartite mixing (see ``bipartite_mixing``) for S in X and
     T in Y. The parts are checked before the spectrum is solved."""
-    _regular_bipartite_degree(G)
+    d = _regular_bipartite_degree(G)
     S, T = set(S), set(T)
     if not S <= set(G.part_x):
         raise PartViolation("S must lie inside part X")
     if not T <= set(G.part_y):
         raise PartViolation("T must lie inside part Y")
-    return bipartite_mixing(G, summary).report(G.bits, G.mask(S), G.mask(T))
+    mixing = _bipartite_mixing(G, d, summary)
+    return mixing.report(G.bits, G.mask(S), G.mask(T))
 
 
 def check_mixing_near_regular(

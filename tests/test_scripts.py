@@ -69,7 +69,6 @@ def test_ell_below_two_is_a_usage_error(name):
     (("--q", "3", "--ell", "8"), "error: --ell must be at most 7"),
     (("--delta", "-1"), "error: --delta must be at least 0"),
     (("--q", "6"), "error: argument --q: invalid choice: 6"),
-    (("--budget", "-1"), "error: --budget must be at least 0"),
 ])
 def test_extraction_demo_usage_errors(args, message):
     proc = run_process("extraction_demo.py", *args)
@@ -78,16 +77,23 @@ def test_extraction_demo_usage_errors(args, message):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("args, budget", [(("--budget", "10"), None),
-                                          ((), 10)])
-def test_extraction_demo_out_of_budget(args, budget):
-    """A path count over its budget, given by --budget or GIRTHLAB_BUDGET,
-    ends the demo with one line and exit status 4, as the girthlab
-    command does."""
-    proc = run_process("extraction_demo.py", "--q", "2", *args, budget=budget)
+def test_extraction_demo_out_of_budget():
+    """A path count over the GIRTHLAB_BUDGET budget ends the demo with one
+    line and exit status 4, as the girthlab command does."""
+    proc = run_process("extraction_demo.py", "--q", "2", budget=10)
     assert proc.returncode == 4
     assert proc.stderr == ("error: path count of length 3 on a graph with 30 "
                            "vertices exceeded its budget of 10 path nodes\n")
+
+
+@pytest.mark.parametrize("budget", ["-5", "lots"])
+def test_extraction_demo_malformed_budget(budget):
+    """A GIRTHLAB_BUDGET that is not a node count ends the demo with one
+    line and exit status 2, as the girthlab command does."""
+    proc = run_process("extraction_demo.py", "--q", "2", budget=budget)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: GIRTHLAB_BUDGET must be a node count "
+                           f">= 0, got {budget}\n")
 
 
 def test_zarankiewicz_table_truncated():
