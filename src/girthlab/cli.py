@@ -7,9 +7,10 @@ Subcommands:
              spectrum, chromatic number of a graph file
   verify     run a verification suite and emit a JSON run report
 
-Exit codes: 0 pass, 1 check failure, 2 bad arguments or an unwritable --out,
-3 an unreadable or malformed input, 4 budget exhausted. The environment
-variable GIRTHLAB_BUDGET overrides the default enumeration budgets.
+Exit codes: 0 pass, 1 check failure, 2 bad arguments, an unwritable --out or
+a graph6 output over 62 vertices, 3 an unreadable or malformed input, 4
+budget exhausted. The environment variable GIRTHLAB_BUDGET overrides the
+default enumeration budgets.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def build_construction(kind: str, q: int, base: str = "gq") -> Graph:
 
 def _serialize(G: Graph, fmt: str) -> bytes:
     if fmt == "graph6":
+        if G.n > 62:
+            raise ValueError(f"the graph has {G.n} vertices and graph6 holds "
+                             f"at most 62: use --format json or dot")
         return graph6_encode(G) + b"\n"
     if fmt == "json":
         return (to_edge_json(G) + "\n").encode("ascii")

@@ -219,21 +219,33 @@ class MixingBound:
     rate: float
     bound: Callable
 
-    def measure(self, rows, s_mask: int, t_mask: int) -> tuple:
-        """The fields of the MixingReport of S and T, in order."""
+    def report(self, rows, s_mask: int, t_mask: int) -> MixingReport:
         s, t = s_mask.bit_count(), t_mask.bit_count()
         est = e_between_masks(rows, s_mask, t_mask)
         expected = self.rate * s * t
         deviation = abs(est - expected)
         bound = self.bound(s, t)
-        return (est, expected, deviation, bound,
-                deviation <= bound + BOUND_SLACK, (s, t))
+        return MixingReport(est, expected, deviation, bound,
+                            deviation <= bound + BOUND_SLACK, (s, t))
 
-    def holds(self, rows, s_mask: int, t_mask: int) -> bool:
-        return self.measure(rows, s_mask, t_mask)[4]
+    def verdicts(self, rng: XorShift64Star, G: Graph, xs, ys, pairs: int):
+        """Whether the inequality holds, for each of `pairs` sampled pairs
+        (see ``_sampled_deviations``)."""
+        for s, t, deviation in _sampled_deviations(rng, G, xs, ys, pairs,
+                                                   self.rate):
+            yield deviation <= self.bound(s, t) + BOUND_SLACK
 
-    def report(self, rows, s_mask: int, t_mask: int) -> MixingReport:
-        return MixingReport(*self.measure(rows, s_mask, t_mask))
+
+def _sampled_deviations(rng: XorShift64Star, G: Graph, xs, ys, pairs: int,
+                        rate: float):
+    """(|S|, |T|, |e(S,T) - rate*|S||T||) for `pairs` draws of S from the
+    pool xs, then T from ys, each drawn as a mask over its pool."""
+    rows = pool_rows(G, xs, ys)
+    for _ in range(pairs):
+        s_mask = rng.sample_mask(len(xs))
+        t_mask = rng.sample_mask(len(ys))
+        s, t = s_mask.bit_count(), t_mask.bit_count()
+        yield s, t, abs(e_between_masks(rows, s_mask, t_mask) - rate * s * t)
 
 
 def _is_regular(G: Graph):
@@ -252,25 +264,15 @@ def regular_mixing(G: Graph, summary: SpectralSummary = None) -> MixingBound:
     return MixingBound(d / G.n, lambda s, t: lam * math.sqrt(s * t))
 
 
-def _regular_bipartite_degree(G: BipartiteGraph) -> int:
+def bipartite_mixing(G: BipartiteGraph,
+                     summary: SpectralSummary = None) -> MixingBound:
+    """Regular bipartite mixing: for S in X and T in Y,
+    |e(S,T) - (2d/n)|S||T|| <= lam*(|S|+|T|)/2."""
     if not isinstance(G, BipartiteGraph):
         raise NotBipartite("check_mixing_bipartite needs a BipartiteGraph")
     d = _is_regular(G)
     if d is None:
         raise NotRegular("mixing bound needs a regular bipartite graph")
-    return d
-
-
-def bipartite_mixing(G: BipartiteGraph,
-                     summary: SpectralSummary = None) -> MixingBound:
-    """Regular bipartite mixing: for S in X and T in Y,
-    |e(S,T) - (2d/n)|S||T|| <= lam*(|S|+|T|)/2."""
-    return _bipartite_mixing(G, _regular_bipartite_degree(G), summary)
-
-
-def _bipartite_mixing(G: BipartiteGraph, d: int,
-                      summary: SpectralSummary) -> MixingBound:
-    """``bipartite_mixing`` for G, which is regular of degree d."""
     if summary is None:
         summary = spectral_summary(G, bipartite=True)
     lam = summary.lam
@@ -314,36 +316,31 @@ def check_mixing_regular(G: Graph, S, T, summary: SpectralSummary = None) -> Mix
     return mixing.report(G.bits, G.mask(S), G.mask(T))
 
 
-def check_mixing_bipartite(
-    G: BipartiteGraph, S, T, summary: SpectralSummary = None
-) -> MixingReport:
-    """Regular bipartite mixing (see ``bipartite_mixing``) for S in X and
-    T in Y. The parts are checked before the spectrum is solved."""
-    d = _regular_bipartite_degree(G)
+def _report_across_parts(mixing: MixingBound, G: BipartiteGraph, S,
+                         T) -> MixingReport:
+    """mixing's report for S in part X and T in part Y."""
     S, T = set(S), set(T)
     if not S <= set(G.part_x):
         raise PartViolation("S must lie inside part X")
     if not T <= set(G.part_y):
         raise PartViolation("T must lie inside part Y")
-    mixing = _bipartite_mixing(G, d, summary)
     return mixing.report(G.bits, G.mask(S), G.mask(T))
 
 
-def check_mixing_near_regular(
-    G: BipartiteGraph,
-    S,
-    T,
-    beta: float,
-    gamma: float,
-    summary: SpectralSummary = None,
-) -> MixingReport:
+def check_mixing_bipartite(G: BipartiteGraph, S, T,
+                           summary: SpectralSummary = None) -> MixingReport:
+    """Regular bipartite mixing (see ``bipartite_mixing``) for S in X and
+    T in Y."""
+    return _report_across_parts(bipartite_mixing(G, summary), G, S, T)
+
+
+def check_mixing_near_regular(G: BipartiteGraph, S, T, beta: float,
+                              gamma: float, summary: SpectralSummary = None
+                              ) -> MixingReport:
     """Near-regular bipartite mixing (see ``near_regular_mixing``) for S
     in X and T in Y."""
     mixing = near_regular_mixing(G, beta, gamma, summary)
-    S, T = set(S), set(T)
-    if not S <= set(G.part_x) or not T <= set(G.part_y):
-        raise PartViolation("S must lie in X and T in Y")
-    return mixing.report(G.bits, G.mask(S), G.mask(T))
+    return _report_across_parts(mixing, G, S, T)
 
 
 @dataclass(frozen=True)
@@ -377,29 +374,12 @@ def pseudorandomness_report(
         raise ValueError("samples must be >= 0")
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    rng = XorShift64Star(seed)
     d = float(G.average_degree())
-    rate = 2 * d / G.n
     scale = G.n ** (1.0 + 1.0 / ell)
-    devs = []
-    xs, ys = G.part_x, G.part_y
-    rows = pool_rows(G, xs, ys)
-    for _ in range(samples):
-        s_mask = rng.sample_mask(len(xs))
-        t_mask = rng.sample_mask(len(ys))
-        est = e_between_masks(rows, s_mask, t_mask)
-        devs.append(abs(est - rate * s_mask.bit_count() * t_mask.bit_count()))
+    devs = [dev for _, _, dev in _sampled_deviations(
+        XorShift64Star(seed), G, G.part_x, G.part_y, samples, 2 * d / G.n)]
     if not devs:
         return DeviationReport(0, seed, ell, G.n, 0.0, 0.0, 0.0, 0.0)
-    mx = max(devs)
-    mean = sum(devs) / len(devs)
-    return DeviationReport(
-        samples=samples,
-        seed=seed,
-        ell=ell,
-        n=G.n,
-        max_deviation=mx,
-        mean_deviation=mean,
-        normalized_max=mx / scale,
-        normalized_mean=mean / scale,
-    )
+    mx, mean = max(devs), sum(devs) / len(devs)
+    return DeviationReport(samples, seed, ell, G.n, mx, mean, mx / scale,
+                           mean / scale)

@@ -41,7 +41,6 @@ from .graph import (
     dense_layer_radius,
     girth,
     odd_cycle_run,
-    pool_rows,
 )
 from .rng import XorShift64Star
 from .search import (
@@ -81,7 +80,7 @@ SUITES = ("geometry", "walks", "spectral", "search", "all")
 
 # every check_* operation in the package; `verify all` must exercise the
 # count behind each. The sampled degree-outlier and mixing tallies call the
-# count their check_* function wraps (outlier_bound, MixingBound.holds),
+# count their check_* function wraps (outlier_bound, MixingBound.verdicts),
 # not the function itself, whose validation and report the tests exercise.
 CHECK_OPS = (
     "check_blakley_roy",
@@ -184,16 +183,6 @@ def _tally(name, ref, instance, verdicts, op=None) -> CheckRecord:
         violations += not v
     return _rec(name, ref, instance, f"violations={violations}",
                 f"checked={checked}", violations == 0, op=op)
-
-
-def _mixing_verdicts(rng: XorShift64Star, g, xs, ys, pairs: int, mixing):
-    """Verdicts of the MixingBound mixing of g over `pairs` draws of S from
-    the pool xs, then T from ys, each drawn as a mask over its pool."""
-    rows = pool_rows(g, xs, ys)
-    for _ in range(pairs):
-        s_mask = rng.sample_mask(len(xs))
-        t_mask = rng.sample_mask(len(ys))
-        yield mixing.holds(rows, s_mask, t_mask)
 
 
 def _outlier_verdicts(rng: XorShift64Star, graphs, eps: float, draws: int):
@@ -398,26 +387,24 @@ def spectral_suite(seed: int, constructed: dict, budget=None) -> list:
         records.append(_tally(
             "mixing-regular", "expander mixing (regular)",
             f"{name} 1000 pairs",
-            _mixing_verdicts(rng, g, range(g.n), range(g.n), 1000,
-                             regular_mixing(g, summaries[name].flat())),
+            regular_mixing(g, summaries[name].flat()).verdicts(
+                rng, g, range(g.n), range(g.n), 1000),
             op="check_mixing_regular"))
     for name in ("plane-incidence-q2", "quadrangle-incidence-q2"):
         g = constructed[name]
         records.append(_tally(
             "mixing-bipartite", "expander mixing (bipartite regular)",
             f"{name} 1000 pairs",
-            _mixing_verdicts(rng, g, g.part_x, g.part_y, 1000,
-                             bipartite_mixing(g, summaries[name])),
+            bipartite_mixing(g, summaries[name]).verdicts(
+                rng, g, g.part_x, g.part_y, 1000),
             op="check_mixing_bipartite"))
     beta, gamma = 0.0005, 0.4
     records.append(_tally(
         "mixing-near-regular", "expander mixing (near-regular)",
         f"near-biregular corpus beta={beta} gamma={gamma}",
         (v for g in near_biregular_corpus(3, seed + 33)
-         for v in _mixing_verdicts(
-             rng, g, g.part_x, g.part_y, 100,
-             near_regular_mixing(g, beta, gamma,
-                                 spectral_summary(g, bipartite=True)))),
+         for v in near_regular_mixing(g, beta, gamma).verdicts(
+             rng, g, g.part_x, g.part_y, 100)),
         op="check_mixing_near_regular"))
     trend = []
     for q in (2, 3, 4, 5):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .budgets import DEFAULT_CYCLE_BUDGET, node_budget
-from .errors import BudgetExceeded, EmptyPart, GirthTooSmall
+from .errors import BudgetExceeded, EmptyPart, GirthTooSmall, NotBipartite
 from .graph import BipartiteGraph, Graph, girth
 
 FLOAT_SLACK = 1e-9
@@ -95,45 +95,55 @@ def closed_walk_count(G: Graph, k: int) -> WalkCounts:
 
 def nonreturning_count(G: Graph, k: int) -> WalkCounts:
     """Number of walks of length k >= 1 that never immediately reuse the
-    edge just traversed. DP over directed edges."""
+    edge just traversed, from the vertex recurrence v_0 = 1, v_1 = A 1,
+    v_2 = A v_1 - D v_0 and v_(j+1) = A v_j - (D - I) v_(j-1) for j >= 2,
+    where v_j(x) counts those walks of length j that end at x.
+
+    A v_j(x) counts the walks of length j ending at a neighbour y of x,
+    each extended by the step y -> x; the ones to drop end ... x, y, x.
+    For j = 1 their first j - 1 steps are the trivial walk at x and y is
+    any of the d(x) neighbours: D v_0. For j >= 2 they are a walk counted
+    by v_(j-1)(x), which reached x along an edge, and y is any of the
+    other d(x) - 1 neighbours: (D - I) v_(j-1).
+    """
     _require_vertices(G)
     if k < 1:
         raise ValueError("k must be >= 1")
-    darts = [(u, v) for u in range(G.n) for v in G.adj[u]]
-    dart_id = {d: i for i, d in enumerate(darts)}
-    counts = [1] * len(darts)
-    for _ in range(k - 1):
-        nxt = [0] * len(darts)
-        for i, (u, v) in enumerate(darts):
-            c = counts[i]
-            if c:
-                for w in G.adj[v]:
-                    if w != u:
-                        nxt[dart_id[(v, w)]] += c
-        counts = nxt
-    return WalkCounts(kind="nonreturning", length=k, total=sum(counts), n=G.n)
+    prev, cur = [1] * G.n, [len(nbrs) for nbrs in G.adj]
+    for j in range(1, k):
+        back = 0 if j == 1 else 1
+        prev, cur = cur, [sum(map(cur.__getitem__, nbrs))
+                          - (len(nbrs) - back) * p
+                          for nbrs, p in zip(G.adj, prev)]
+    return WalkCounts(kind="nonreturning", length=k, total=sum(cur), n=G.n)
 
 
-def _paths_by_start(G: Graph, starts, ell: int, limit: int,
-                    overrun: str) -> list:
-    """Directed paths of length 1 <= ell <= 8 from each start vertex, by one
-    DFS whose node counter runs across all starts.
+def _paths_by_start(G: Graph, ell: int, budget, start=None) -> list:
+    """Directed paths of length 0 <= ell <= 8 from the vertex start, or
+    from each vertex when start is None, by one DFS whose node counter runs
+    across all starts.
 
     The last two levels are counted without stacking them: a node v at
     depth ell - 1 has one leaf per neighbour outside its path,
     (bits[v] & ~visited).bit_count(), and a node at depth ell - 2 counts
     each such child and its leaves in place. Every one of those nodes still
-    counts, so BudgetExceeded (with message `overrun`) is raised exactly
-    when the whole DFS visits more than `limit` nodes.
+    counts, so BudgetExceeded is raised exactly when the whole DFS visits
+    more nodes than the budget allows.
     """
+    if not 0 <= ell <= 8:
+        raise ValueError("ell must be in 0..8 (exhaustive DFS guard)")
+    starts = range(G.n) if start is None else (start,)
+    if ell == 0:
+        return [1] * len(starts)
+    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
     bits = G.bits
     adj = G.adj
     last = ell - 1
     nodes = 0
     counts = []
-    for start in starts:
+    for root in starts:
         total = 0
-        stack = [(start, 1 << start, 0)]
+        stack = [(root, 1 << root, 0)]
         while stack:
             v, visited, depth = stack.pop()
             nodes += 1
@@ -152,14 +162,15 @@ def _paths_by_start(G: Graph, starts, ell: int, limit: int,
                     if not (visited >> w) & 1:
                         stack.append((w, visited | (1 << w), depth + 1))
             if nodes > limit:
-                raise BudgetExceeded(overrun)
+                raise BudgetExceeded(
+                    f"path count of length {ell} on a graph with {G.n} "
+                    f"vertices exceeded its budget of {limit} path nodes"
+                    if start is None else
+                    f"paths of length {ell} from vertex {start} on a graph "
+                    f"with {G.n} vertices exceeded their budget of {limit} "
+                    f"path nodes")
         counts.append(total)
     return counts
-
-
-def _check_path_length(ell: int):
-    if not 0 <= ell <= 8:
-        raise ValueError("ell must be in 0..8 (exhaustive DFS guard)")
 
 
 def path_count(G: Graph, ell: int, budget=None) -> WalkCounts:
@@ -175,27 +186,13 @@ def paths_from_vertex(G: Graph, start: int, ell: int, budget=None) -> int:
     if not 0 <= start < G.n:
         raise ValueError(f"start {start} is not a vertex: need "
                          f"0 <= start < n = {G.n}")
-    _check_path_length(ell)
-    if ell == 0:
-        return 1
-    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
-    return _paths_by_start(
-        G, (start,), ell, limit,
-        f"paths of length {ell} from vertex {start} on a graph with {G.n} "
-        f"vertices exceeded their budget of {limit} path nodes")[0]
+    return _paths_by_start(G, ell, budget, start)[0]
 
 
 def paths_from_each_vertex(G: Graph, ell: int, budget=None) -> list:
     """Directed paths of length ell <= 8 from each vertex in turn, under one
     node budget for the whole enumeration."""
-    _check_path_length(ell)
-    if ell == 0:
-        return [1] * G.n
-    limit = node_budget(budget, DEFAULT_CYCLE_BUDGET)
-    return _paths_by_start(
-        G, range(G.n), ell, limit,
-        f"path count of length {ell} on a graph with {G.n} vertices "
-        f"exceeded its budget of {limit} path nodes")
+    return _paths_by_start(G, ell, budget)
 
 
 def check_blakley_roy(G: Graph, k: int, totals=None) -> BoundReport:
@@ -260,7 +257,7 @@ class HooryReport:
 
 def check_hoory_bipartite(G: BipartiteGraph, t: int) -> HooryReport:
     if not isinstance(G, BipartiteGraph):
-        raise TypeError("check_hoory_bipartite needs a BipartiteGraph")
+        raise NotBipartite("check_hoory_bipartite needs a BipartiteGraph")
     if t < 1:
         raise ValueError("t must be >= 1")
     a_part, b_part = G.part_x, G.part_y
@@ -270,31 +267,21 @@ def check_hoory_bipartite(G: BipartiteGraph, t: int) -> HooryReport:
         raise ValueError("product form needs minimum degree >= 1")
     nu = nonreturning_count(G, 2 * t + 1).average
     d = G.average_degree()
-    alpha = Fraction(sum(G.degree(v) for v in a_part), len(a_part))
-    beta = Fraction(sum(G.degree(v) for v in b_part), len(b_part))
+    a_degs = [G.degree(v) for v in a_part]
+    b_degs = [G.degree(v) for v in b_part]
     # the averages form needs every degree >= 2 (convexity of x*log(x-1));
-    # pendant vertices zero the product form, and the bound degenerates to 0
+    # a pendant vertex zeroes the product, and both bounds degenerate to 0
     if G.min_degree() >= 2:
+        alpha = Fraction(sum(a_degs), len(a_degs))
+        beta = Fraction(sum(b_degs), len(b_degs))
         biregular = d * (alpha - 1) ** t * (beta - 1) ** t
+        log_prod = 0.0  # not sum(): from Python 3.12 it compensates
+        for dv in G.degrees():
+            log_prod += (t * dv / G.m) * math.log(dv - 1)
+        product = float(d) * math.exp(log_prod)
     else:
-        biregular = Fraction(0)
-    m = G.m
-    log_prod = 0.0
-    zero_factor = False
-    for v in range(G.n):
-        dv = G.degree(v)
-        if dv == 1:
-            zero_factor = True
-            break
-        log_prod += (t * dv / m) * math.log(dv - 1)
-    product = 0.0 if zero_factor else float(d) * math.exp(log_prod)
-    nu_f = float(nu)
-    holds_product = nu_f >= product * (1 - FLOAT_SLACK) - FLOAT_SLACK
-    alpha_int = alpha.denominator == 1
-    beta_int = beta.denominator == 1
-    biregular_graph = alpha_int and beta_int and all(
-        G.degree(v) == alpha for v in a_part
-    ) and all(G.degree(v) == beta for v in b_part)
+        biregular, product = Fraction(0), 0.0
+    holds_product = float(nu) >= product * (1 - FLOAT_SLACK) - FLOAT_SLACK
     return HooryReport(
         t=t,
         nu=nu,
@@ -302,7 +289,8 @@ def check_hoory_bipartite(G: BipartiteGraph, t: int) -> HooryReport:
         biregular_bound=biregular,
         holds_product=holds_product,
         holds_biregular=nu >= biregular,
-        equality=biregular_graph and nu == biregular,
+        equality=(len(set(a_degs)) == len(set(b_degs)) == 1
+                  and nu == biregular),
     )
 
 
@@ -314,7 +302,7 @@ def check_closed_walk_bound(G: BipartiteGraph, ell: int) -> BoundReport:
     Raises GirthTooSmall when the girth precondition fails.
     """
     if not isinstance(G, BipartiteGraph):
-        raise TypeError("check_closed_walk_bound needs a BipartiteGraph")
+        raise NotBipartite("check_closed_walk_bound needs a BipartiteGraph")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     g = girth(G)

@@ -68,6 +68,20 @@ class TestConstruct:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,q,n", [("gq", "3", 80), ("pg2", "16", 546),
+                                          ("polarity", "11", 133)])
+    def test_graph_too_large_for_graph6_exit_2(self, tmp_path, capsys, kind,
+                                               q, n):
+        out = tmp_path / "never.g6"
+        assert main(["construct", kind, q, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == (f"error: the graph has {n} vertices and graph6 holds "
+                       f"at most 62: use --format json or dot\n")
+        assert main(["construct", kind, q, "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == n
+
 
 class TestAnalyze:
     def test_heawood_report(self, tmp_path, heawood):
@@ -101,6 +115,11 @@ class TestAnalyze:
     def test_malformed_exit_3(self, tmp_path):
         path = tmp_path / "bad.g6"
         path.write_bytes(b"\x05\x06junk")
+        assert main(["analyze", str(path)]) == 3
+
+    def test_long_form_graph6_exit_3(self, tmp_path):
+        path = tmp_path / "big.g6"
+        path.write_bytes(b"~??~" + b"?" * 1000 + b"\n")  # n = 63, long form
         assert main(["analyze", str(path)]) == 3
 
     def test_missing_file_exit_3(self):

@@ -62,9 +62,12 @@ def test_failing_spectral_reports_match_benchmark_goldens(seed):
 
 # Every geometry report the benchmark can run (suite seeds 0..63), and three
 # more spectral ones: 1, the first suite seed of the held-out benchmark seed
-# (1729 % 64), and 0 and 63, the ends of the range.
+# (1729 % 64), and 0 and 63, the ends of the range. The walks reports, whose
+# Hoory and non-returning tallies move with the seed, at those three and at
+# 10 and 33, the seeds of the two failing spectral reports.
 GOLDEN_SWEEP = ([("geometry", seed) for seed in range(64)]
-                + [("spectral", seed) for seed in (0, 1, 63)])
+                + [("spectral", seed) for seed in (0, 1, 63)]
+                + [("walks", seed) for seed in (0, 1, 10, 33, 63)])
 
 
 @pytest.mark.parametrize("suite,seed", GOLDEN_SWEEP)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from girthlab.spectral import (
     regular_mixing,
     spectral_summary,
 )
-from girthlab.verify import _constructed_set, _mixing_verdicts
+from girthlab.verify import _constructed_set
 from girthlab.walks import closed_walk_count
 
 CONSTRUCTED = _constructed_set()
@@ -170,6 +171,81 @@ class TestMixingNearRegular:
                 rep = check_mixing_near_regular(g, S, T, 0.0005, 0.4,
                                                 summary=summary)
                 assert rep.holds
+
+
+@pytest.fixture(scope="module")
+def mixing_inputs(heawood):
+    return SimpleNamespace(
+        hw=heawood, X=heawood.part_x, Y=heawood.part_y,
+        plain=Graph(heawood.n, heawood.edges()),
+        irregular=BipartiteGraph(4, [(0, 2), (0, 3), (1, 2)], [0, 0, 1, 1]),
+        pendant=BipartiteGraph(15, heawood.edges() + [(0, 14)],
+                               list(heawood.side) + [1]))
+
+
+_OK = (0.0001, 0.4)  # beta and gamma for which the Heawood graph qualifies
+
+# (case, error, call): where an input breaks several rules, the error is
+# the one raised first
+MIXING_ERRORS = [
+    ("regular/irregular", NotRegular,
+     lambda g: check_mixing_regular(g.irregular, [0], [2])),
+    ("regular/vertex-past-n", ValueError,
+     lambda g: check_mixing_regular(g.hw, [14], [0])),
+    ("regular/negative-vertex", ValueError,
+     lambda g: check_mixing_regular(g.hw, [0], [-1])),
+    ("bipartite/plain-graph", NotBipartite,
+     lambda g: check_mixing_bipartite(g.plain, [0], [7])),
+    ("bipartite/plain-graph-and-S-in-Y", NotBipartite,
+     lambda g: check_mixing_bipartite(g.plain, g.Y[:1], g.Y[:1])),
+    ("bipartite/irregular", NotRegular,
+     lambda g: check_mixing_bipartite(g.irregular, [0], [2])),
+    ("bipartite/irregular-and-S-in-Y", NotRegular,
+     lambda g: check_mixing_bipartite(g.irregular, [2], [3])),
+    ("bipartite/S-in-Y", PartViolation,
+     lambda g: check_mixing_bipartite(g.hw, g.Y[:1], g.Y[:1])),
+    ("bipartite/T-in-X", PartViolation,
+     lambda g: check_mixing_bipartite(g.hw, g.X[:1], g.X[:1])),
+    ("bipartite/vertex-past-n", PartViolation,
+     lambda g: check_mixing_bipartite(g.hw, [14], g.Y[:1])),
+    ("bipartite/negative-vertex", PartViolation,
+     lambda g: check_mixing_bipartite(g.hw, g.X[:1], [-1])),
+    ("near/plain-graph", NotBipartite,
+     lambda g: check_mixing_near_regular(g.plain, [0], [7], *_OK)),
+    ("near/plain-graph-and-beta-0", NotBipartite,
+     lambda g: check_mixing_near_regular(g.plain, [0], [7], 0.0, 0.4)),
+    ("near/beta-0", ValueError,
+     lambda g: check_mixing_near_regular(g.hw, g.X[:1], g.Y[:1], 0.0, 0.4)),
+    ("near/beta-1", ValueError,
+     lambda g: check_mixing_near_regular(g.hw, g.X[:1], g.Y[:1], 1.0, 0.4)),
+    ("near/gamma-0", ValueError,
+     lambda g: check_mixing_near_regular(g.hw, g.X[:1], g.Y[:1], 1e-4, 0.0)),
+    ("near/gamma-1", ValueError,
+     lambda g: check_mixing_near_regular(g.hw, g.X[:1], g.Y[:1], 1e-4, 1.0)),
+    ("near/gamma-1-and-S-in-Y", ValueError,
+     lambda g: check_mixing_near_regular(g.hw, g.Y[:1], g.Y[:1], 1e-4, 1.0)),
+    ("near/hypothesis", HypothesisFailed,
+     lambda g: check_mixing_near_regular(g.pendant, [0], [14], 0.1, 0.5)),
+    ("near/hypothesis-and-S-in-Y", HypothesisFailed,
+     lambda g: check_mixing_near_regular(g.pendant, [14], [14], 0.1, 0.5)),
+    ("near/S-in-Y", PartViolation,
+     lambda g: check_mixing_near_regular(g.hw, g.Y[:1], g.Y[:1], *_OK)),
+    ("near/T-in-X", PartViolation,
+     lambda g: check_mixing_near_regular(g.hw, g.X[:1], g.X[:1], *_OK)),
+    ("near/vertex-past-n", PartViolation,
+     lambda g: check_mixing_near_regular(g.hw, [14], g.Y[:1], *_OK)),
+    ("near/negative-vertex", PartViolation,
+     lambda g: check_mixing_near_regular(g.hw, g.X[:1], [-1], *_OK)),
+]
+
+
+@pytest.mark.parametrize("error,call", [case[1:] for case in MIXING_ERRORS],
+                         ids=[case[0] for case in MIXING_ERRORS])
+def test_mixing_checks_raise_the_first_broken_rule(mixing_inputs, error,
+                                                    call):
+    with pytest.raises(error) as raised:
+        call(mixing_inputs)
+    assert type(raised.value) is error
 
 
 class TestPseudorandomness:
@@ -397,7 +473,7 @@ def test_suite_mixing_on_masks_matches_set_path(seed):
     drawn = XorShift64Star(seed + 21)
     for g, xs, ys, pairs, mixing, check in _suite_mixing_cases(seed):
         rows = pool_rows(g, xs, ys)
-        verdicts = list(_mixing_verdicts(rng, g, xs, ys, pairs, mixing))
+        verdicts = list(mixing.verdicts(rng, g, xs, ys, pairs))
         reports = []
         for _ in range(pairs):
             s_mask = drawn.sample_mask(len(xs))

@@ -1,12 +1,20 @@
+import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from girthlab.corpus import bipartite_corpus, walks_corpus
-from girthlab.errors import BudgetExceeded, EmptyPart, GirthTooSmall
+from girthlab.errors import (
+    BudgetExceeded,
+    EmptyPart,
+    GirthTooSmall,
+    NotBipartite,
+)
 from girthlab.graph import BipartiteGraph, Graph
 from girthlab.walks import (
+    FLOAT_SLACK,
     check_blakley_roy,
     check_closed_walk_bound,
     check_godsil,
@@ -117,6 +125,61 @@ class TestNonReturning:
         assert (wc.total, wc.average) == (2, Fraction(2, 3))
 
 
+def _enumerated_nonreturning(g, k):
+    """Oracle: every walk of length k that never steps straight back along
+    the edge it came in on, listed one vertex at a time and counted."""
+    def extend(walk):
+        if len(walk) == k + 1:
+            return 1
+        back = walk[-2] if len(walk) > 1 else None
+        return sum(extend(walk + [w]) for w in g.adj[walk[-1]] if w != back)
+    return sum(extend([v]) for v in range(g.n))
+
+
+def _dart_dp_nonreturning(g, k):
+    """Reference: the non-returning count as it was computed before the
+    vertex recurrence, by a DP over directed edges (darts)."""
+    darts = [(u, v) for u in range(g.n) for v in g.adj[u]]
+    dart_id = {d: i for i, d in enumerate(darts)}
+    counts = [1] * len(darts)
+    for _ in range(k - 1):
+        nxt = [0] * len(darts)
+        for i, (u, v) in enumerate(darts):
+            for w in g.adj[v]:
+                if w != u:
+                    nxt[dart_id[(v, w)]] += counts[i]
+        counts = nxt
+    return sum(counts)
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    """Graphs on up to max_n vertices, any edge set: isolated and pendant
+    vertices are common."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(small_graphs(), st.integers(1, 6))
+@example(Graph(1), 1)
+# vertex 5 isolated, 3 and 4 pendant
+@example(Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 0)]), 6)
+@example(Graph(8, [(i, j) for i in range(8) for j in range(i + 1, 8)]), 6)
+@settings(max_examples=150, deadline=None)
+def test_nonreturning_count_matches_enumeration(g, k):
+    assert nonreturning_count(g, k).total == _enumerated_nonreturning(g, k)
+
+
+def test_nonreturning_count_matches_dart_dp(heawood, tutte_coxeter):
+    for g in [heawood, tutte_coxeter, star(4), path3()] + walks_corpus(60, 3):
+        for k in range(1, 9):
+            assert (nonreturning_count(g, k).total
+                    == _dart_dp_nonreturning(g, k))
+
+
 class TestPathCount:
     def test_triangle(self):
         assert path_count(triangle(), 2).total == 6
@@ -190,11 +253,49 @@ class TestHoory:
         with pytest.raises(EmptyPart):
             check_hoory_bipartite(BipartiteGraph(2, [], [0, 0]), 1)
 
+    def test_plain_graph_not_bipartite(self, heawood):
+        with pytest.raises(NotBipartite, match="needs a BipartiteGraph"):
+            check_hoory_bipartite(Graph(heawood.n, heawood.edges()), 1)
+
     def test_corpus(self):
         for g in bipartite_corpus(25, 31):
             for t in (1, 2):
                 rep = check_hoory_bipartite(g, t)
                 assert rep.holds_product and rep.holds_biregular
+
+
+def _reference_hoory(g, t):
+    """Reference: check_hoory_bipartite's fields as computed before its
+    pendant test and biregularity test were each written once, with the
+    non-returning count of the dart DP."""
+    nu = Fraction(_dart_dp_nonreturning(g, 2 * t + 1), g.n)
+    d = g.average_degree()
+    alpha = Fraction(sum(g.degree(v) for v in g.part_x), len(g.part_x))
+    beta = Fraction(sum(g.degree(v) for v in g.part_y), len(g.part_y))
+    biregular = (d * (alpha - 1) ** t * (beta - 1) ** t
+                 if g.min_degree() >= 2 else Fraction(0))
+    log_prod = 0.0
+    zero_factor = False
+    for v in range(g.n):
+        dv = g.degree(v)
+        if dv == 1:
+            zero_factor = True
+            break
+        log_prod += (t * dv / g.m) * math.log(dv - 1)
+    product = 0.0 if zero_factor else float(d) * math.exp(log_prod)
+    biregular_graph = (alpha.denominator == 1 and beta.denominator == 1
+                       and all(g.degree(v) == alpha for v in g.part_x)
+                       and all(g.degree(v) == beta for v in g.part_y))
+    return (t, nu, product, biregular,
+            float(nu) >= product * (1 - FLOAT_SLACK) - FLOAT_SLACK,
+            nu >= biregular, biregular_graph and nu == biregular)
+
+
+def test_hoory_reports_match_reference(heawood, tutte_coxeter):
+    for g in [heawood, tutte_coxeter] + bipartite_corpus(120, 5):
+        for t in (1, 2, 3):
+            rep = check_hoory_bipartite(g, t)
+            assert astuple(rep) == _reference_hoory(g, t)
 
 
 class TestClosedWalkBound:
@@ -209,6 +310,10 @@ class TestClosedWalkBound:
     def test_edgeless(self):
         rep = check_closed_walk_bound(BipartiteGraph(4, [], [0, 0, 1, 1]), 2)
         assert rep.holds and rep.lhs == 0 == rep.rhs
+
+    def test_plain_graph_not_bipartite(self, heawood):
+        with pytest.raises(NotBipartite, match="needs a BipartiteGraph"):
+            check_closed_walk_bound(Graph(heawood.n, heawood.edges()), 2)
 
     def test_girth_guard(self, heawood):
         with pytest.raises(GirthTooSmall):
